@@ -1,4 +1,4 @@
-"""Walk through the certified inner solver on one dual point.
+"""Walk through the inner solvers on one dual point.
 
 The cutting-plane outer loop repeatedly needs the global maximum of
 
@@ -7,9 +7,11 @@ The cutting-plane outer loop repeatedly needs the global maximum of
 over all nonnegative powers.  f is nonconcave (each user's rate is
 degraded by the other's power), and because the power constraints are
 dualized there is no box to search a priori.  This script shows the
-three stages: construction of a certified initial box from the
-interference-free envelope, the monotonic box bounds, and the
-branch-and-bound refinement, cross-checked against a brute-force grid.
+stationary-point oracle the loop uses (origin, axis peaks and the
+interior stationary points from a degree-9 resultant) next to the
+reference branch and bound: its certified initial box from the
+interference-free envelope, the monotonic box bounds, and the box
+refinement, both cross-checked against a brute-force grid.
 """
 
 import time
@@ -25,6 +27,7 @@ from tinregions import (
     init_box,
     inner_objective,
     proper_rates,
+    stationary_solve,
 )
 
 
@@ -47,6 +50,13 @@ def main():
     print(f"  value {res.value:.9f}, certified gap {res.gap:.2e}, "
           f"{res.iterations} boxes in {dt * 1e3:.1f} ms")
 
+    t0 = time.perf_counter()
+    sta = stationary_solve(ch, dual)
+    dt = time.perf_counter() - t0
+    print(f"stationary points: p* = ({sta.p[0]:.6f}, {sta.p[1]:.6f})")
+    print(f"  value {sta.value:.9f}, {sta.iterations} candidates in {dt * 1e3:.1f} ms, "
+          f"{sta.value - res.value:+.2e} against branch and bound")
+
     # brute-force cross-check on a fine grid over the certified box
     step = 0.01
     p1 = np.arange(0.0, box.b[0] + step, step)
@@ -62,7 +72,8 @@ def main():
             best = float(f[j])
             arg = (float(blk[j[0], 0]), float(p2[j[1]]))
     print(f"\ngrid search (step {step}): best {best:.9f} at ({arg[0]:.2f}, {arg[1]:.2f})")
-    print(f"difference vs certified value: {abs(best - res.value):.2e}")
+    print(f"difference vs certified value: {abs(best - res.value):.2e}, "
+          f"vs stationary value: {abs(best - sta.value):.2e}")
 
     # the bounds really do sandwich f everywhere
     rng = np.random.default_rng(0)

@@ -6,8 +6,10 @@ achievable rate pairs under three progressively stronger formulations:
 single (pure) transmit strategies, convex hulls of pure-strategy
 regions, and coded time-sharing where both rates and transmit powers
 are averaged across strategies.  The time-sharing boundary is obtained
-by a cutting-plane method on the dualized rate-balancing problem, with
-a certified branch-and-bound solver for the inner power allocation.
+by a cutting-plane method on the dualized rate-balancing problem; its
+inner power allocation is maximized by enumerating the stationary
+points of the objective's gradient, with a certified branch-and-bound
+solver kept as the reference it is checked against.
 Verification harnesses check the bound/propriety properties the
 construction relies on, including that proper signaling attains the
 full time-sharing region.
@@ -40,6 +42,7 @@ from .inner import (
     branch,
     init_box,
     inner_objective,
+    stationary_solve,
 )
 from .outer import (
     Cut,

@@ -22,7 +22,6 @@ import time
 import numpy as np
 
 from .fileio import ChannelFileError, format_float, load_channel
-from .inner import BnbConfig
 from .model import PowerBudget, RateProfile
 from .outer import OuterConfig, ts_point
 from .regions import (
@@ -55,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p2", type=float, default=10.0, help="power budget of user 2")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--eps-cp", type=float, default=1e-4, dest="eps_cp")
-        p.add_argument("--eps-bnb", type=float, default=1e-6, dest="eps_bnb")
 
     p_region = sub.add_parser("region", help="sweep a rate-region boundary")
     common(p_region)
@@ -79,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _region_config(args) -> RegionConfig:
     return RegionConfig(
-        outer=OuterConfig(epsilon_cp=args.eps_cp, inner=BnbConfig(epsilon=args.eps_bnb)),
+        outer=OuterConfig(epsilon_cp=args.eps_cp),
         sampling=SamplingConfig(seed=args.seed),
     )
 

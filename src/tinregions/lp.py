@@ -107,7 +107,8 @@ def _simplex(A_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[in
     for _ in range(_MAX_PIVOTS):
         B = A_ext[:, basis]
         x_B = np.linalg.solve(B, b)
-        assert float(np.min(x_B, initial=0.0)) > -1e-6  # basis stays feasible
+        if float(np.min(x_B, initial=0.0)) <= -1e-6:
+            raise RuntimeError("simplex basis lost primal feasibility")
         y = np.linalg.solve(B.T, costs[basis])
         reduced = costs - y @ A_ext
         enter = -1
@@ -227,7 +228,8 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         costs1 = np.zeros(N)
         costs1[artificial] = -1.0
         status = _simplex(A_ext, rhs, costs1, basis, np.ones(N, dtype=bool))
-        assert status == "optimal"  # phase-1 objective is bounded above by 0
+        if status != "optimal":  # phase-1 objective is bounded above by 0
+            raise RuntimeError(f"phase 1 of the simplex reported {status}")
         B = A_ext[:, basis]
         x_B = np.linalg.solve(B, rhs)
         infeas = float(np.sum(x_B[is_artificial[basis]]))

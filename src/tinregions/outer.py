@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .inner import BnbConfig, DualPoint, bnb_solve
+from .inner import BnbConfig, DualPoint
+from .inner import stationary_solve as bnb_solve  # callers wrap outer.bnb_solve to trace it
 from .lp import EQUAL, GREATER, LESS, LinearProgram, lp_solve
 from .model import ChannelRealization, PowerBudget, RatePair, RateProfile, rate_pair_proper
 
@@ -49,7 +50,7 @@ class Cut:
 
     p: tuple[float, float]
     rates: RatePair
-    origin: str  # "initial" | "bnb" | "capped"
+    origin: str  # "initial" | "stationary" | "capped"
 
 
 @dataclass(frozen=True)
@@ -238,10 +239,10 @@ def cutting_plane(
         res = bnb_solve(ch, dual, inner_cfg)
         if not res.converged:
             raise RuntimeError(
-                f"inner solver exhausted its iteration budget (gap {res.gap:.3e})"
+                f"inner solver did not converge (gap {res.gap:.3e})"
             )
         p_new = res.p
-        new_cut = Cut(p_new, rate_pair_proper(ch, p_new), "capped" if res.capped else "bnb")
+        new_cut = Cut(p_new, rate_pair_proper(ch, p_new), "capped" if res.capped else "stationary")
         evaluated.append((achieved_dual_value(ch, dual, budget, new_cut), dual))
         upper = min(v for v, _ in evaluated)
         lower_history.append(lower)

@@ -247,13 +247,46 @@ def pure_improper_samples(
     return np.concatenate(chunks, axis=0)
 
 
+#: Weights w of the directions w*r1 + (1 - w)*r2 whose maximizers span
+#: the support polyline of the hull prefilter.
+HULL_SUPPORT_WEIGHTS = tuple(float(w) for w in np.linspace(0.0, 1.0, 9))
+
+
+def _drop_interior(pts: np.ndarray) -> np.ndarray:
+    """The points of a cloud that are not strictly below its support
+    polyline.
+
+    The support points maximize w*r1 + (1 - w)*r2 over the cloud, and
+    the polyline joins them in r1 order, extended left at the height of
+    the r2 maximizer.  Every chord joins two points of the cloud (or a
+    point and its axis projection), so a point strictly below the
+    polyline lies strictly inside the hull or is dominated by an
+    intercept, and is never a vertex of the Pareto face.  Points on a
+    chord, to within rounding, are kept.  Allocates one float and one
+    boolean array of the cloud's length at a time.
+    """
+    buf = np.empty(len(pts))
+    top: dict[float, float] = {}
+    for w in HULL_SUPPORT_WEIGHTS:
+        i = int(np.argmax(np.dot(pts, (w, 1.0 - w), out=buf)))
+        x, y = float(pts[i, 0]), float(pts[i, 1])
+        top[x] = max(y, top.get(x, y))  # equal support points collapse
+    del buf
+    xs = np.array(sorted(top))
+    chain = np.interp(pts[:, 0], xs, [top[x] for x in xs])
+    chain -= 64.0 * np.finfo(float).eps * max(xs[-1], max(top.values()), 1.0)
+    return pts[pts[:, 1] >= chain]
+
+
 def upper_right_hull(points) -> np.ndarray:
     """Vertices of the Pareto face of the convex hull of a point cloud.
 
     The cloud is augmented with its axis projections (max_r1, 0) and
     (0, max_r2) so the face spans both intercepts; output vertices are
     sorted by r1 descending and every input point lies on or below the
-    piecewise-linear boundary they define.
+    piecewise-linear boundary they define.  Points strictly below a
+    polyline of support points are dropped before the sort, which leaves
+    the output unchanged and the sort small.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.size == 0:
@@ -262,6 +295,7 @@ def upper_right_hull(points) -> np.ndarray:
         raise ValueError("points must be finite and >= 0")
     r1max = float(pts[:, 0].max())
     r2max = float(pts[:, 1].max())
+    pts = _drop_interior(pts)
     aug = np.vstack([pts, [[r1max, 0.0], [0.0, r2max]]])
     order = np.lexsort((-aug[:, 1], -aug[:, 0]))
     s = aug[order]

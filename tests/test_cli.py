@@ -70,6 +70,12 @@ class TestRegionCommand:
             main(["region", "--method", "ts-proper", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    def test_removed_eps_bnb_flag_exits_2(self, channel_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--channel", channel_file, "--method", "ts-proper",
+                  "--eps-bnb", "1e-6", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
     def test_unparsable_channel_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"h11\": 1.0}")

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tinregions import lp as lp_module
 from tinregions.lp import EQUAL, GREATER, LESS, LinearProgram, lp_solve
 
 
@@ -98,6 +99,19 @@ def test_rate_balancing_toy():
 def test_infeasible_detected():
     lp = LinearProgram("max", np.array([1.0]), [(np.array([1.0]), LESS, -1.0)])
     assert lp_solve(lp).status == "infeasible"
+
+
+def test_infeasible_start_basis_raises():
+    # a real error, not an assert, so it also fires under python -O
+    with pytest.raises(RuntimeError, match="feasibility"):
+        lp_module._simplex(np.eye(1), np.array([-1.0]), np.zeros(1), [0], np.ones(1, bool))
+
+
+def test_phase1_failure_raises(monkeypatch):
+    monkeypatch.setattr(lp_module, "_simplex", lambda *args: "unbounded")
+    lp = LinearProgram("max", np.array([1.0]), [(np.array([1.0]), GREATER, 1.0)])
+    with pytest.raises(RuntimeError, match="phase 1"):
+        lp_solve(lp)
 
 
 def test_unbounded_detected():

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from tinregions import (
+    ChannelRealization,
     Cut,
     DualPoint,
     OuterConfig,
@@ -219,9 +221,31 @@ class TestBoundTrajectories:
         assert all(b <= a + 1e-12 for a, b in zip(ups, ups[1:]))
         assert all(u >= l - 1e-9 for l, u in zip(lows, ups))
 
-    def test_inner_budget_exhaustion_propagates(self, sec6, budget10):
-        from tinregions import BnbConfig
+    def test_inner_budget_exhaustion_propagates(self, sec6, budget10, monkeypatch):
+        from tinregions import BnbResult, outer
 
-        cfg = OuterConfig(inner=BnbConfig(epsilon=1e-9, max_iterations=2))
-        with pytest.raises(RuntimeError, match="iteration budget"):
-            cutting_plane(sec6, budget10, RateProfile(0.5), cfg)
+        def unconverged(ch, dual, cfg):
+            return BnbResult((1.0, 1.0), 0.0, 0.5, 2, converged=False, capped=False)
+
+        monkeypatch.setattr(outer, "bnb_solve", unconverged)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            cutting_plane(sec6, budget10, RateProfile(0.5))
+
+
+class TestWeakInterference:
+    """Channels where branch and bound ran out of boxes (INR below SNR)."""
+
+    @staticmethod
+    def assert_certified(ch, beta):
+        cfg = OuterConfig()
+        solution, cp = ts_point(ch, PowerBudget(10.0, 10.0), RateProfile(beta), cfg)
+        assert cp.converged
+        assert abs(solution.R - cp.upper) <= 2.0 * cfg.epsilon_cp
+
+    def test_real_weak_channel(self):
+        self.assert_certified(ChannelRealization(1.0, 0.5, 0.5, math.sqrt(2.0), 1.0, 1.0), 0.5)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_weak_channels(self, weak_channel, seed, snr_db):
+        self.assert_certified(weak_channel(seed, snr_db, 10.0), 0.5)

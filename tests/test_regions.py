@@ -15,6 +15,7 @@ from tinregions import (
     theorem1_check,
     upper_right_hull,
 )
+from tinregions import regions
 from tinregions.regions import _profile_value, boundary_violation
 
 
@@ -103,6 +104,27 @@ class TestUpperRightHull:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             upper_right_hull(np.empty((0, 2)))
+
+    def test_prefilter_leaves_hull_unchanged(self, sec6, budget10, small_cfg, monkeypatch):
+        rng = np.random.default_rng(32)
+        grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2)
+        angles = rng.uniform(0.0, 0.5 * np.pi, 500)
+        clouds = [
+            rng.uniform(0.0, 5.0, size=(400, 2)),
+            grid[grid.sum(axis=1) <= 11.0],  # lattice: points on every chord
+            np.column_stack((np.cos(angles), np.sin(angles))) * rng.uniform(0.98, 1.0, (500, 1)),
+            np.vstack([rng.integers(0, 4, size=(300, 2)), [[0.0, 0.0], [7.0, 0.0], [0.0, 7.0]]]),
+            pure_improper_samples(sec6, budget10, small_cfg.sampling),
+        ]
+        filtered = [upper_right_hull(c) for c in clouds]
+        monkeypatch.setattr(regions, "_drop_interior", lambda pts: pts)
+        for cloud, hull in zip(clouds, filtered):
+            assert np.array_equal(hull, upper_right_hull(cloud))
+
+    def test_prefilter_keeps_points_on_chords(self):
+        pts = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 2.0], [1.5, 0.5], [0.5, 1.5], [0.5, 0.5]])
+        kept = regions._drop_interior(pts)
+        assert {tuple(p) for p in kept} == {tuple(p) for p in pts[:5]}
 
 
 class TestSweepBoundary:
