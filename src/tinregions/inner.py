@@ -58,7 +58,6 @@ __all__ = [
     "bnb_solve",
     "stationary_solve",
     "LAMBDA_FLOOR",
-    "WEIGHT_TOL",
 ]
 
 
@@ -352,7 +351,7 @@ _DOMAIN_TOL = 1e-6
 _NEWTON_STEPS = 30
 #: Share of the total weighted-rate span below which the stationary-point
 #: oracle treats a user's rate weight as zero.
-WEIGHT_TOL = 1e-9
+_WEIGHT_TOL = 1e-9
 
 
 def _affine(c0, c1, c2):
@@ -408,12 +407,6 @@ _NODES_T = np.cos(np.pi * (np.arange(10) + 0.5) / 10)
 _NODES = 0.5 * (_NODES_T + 1.0)
 _CHEB_FIT = 0.2 * np.cos(np.outer(np.arange(10), np.arccos(_NODES_T)))
 _CHEB_FIT[0] *= 0.5
-_PERMUTATIONS = {
-    1: [((0,), 1.0)],
-    2: [((0, 1), 1.0), ((1, 0), -1.0)],
-    3: [((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
-        ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0)],
-}
 
 
 def _eliminant_roots(f, g):
@@ -448,12 +441,9 @@ def _eliminant_roots(f, g):
                 two = fv[:, j + k + 1] * gv[:, i - k]
                 bez[i, j] += one - two
                 bound[i, j] += np.abs(one) + np.abs(two)
-    # the determinant term by term, with the sum of the terms' sizes
-    value = np.zeros(_NODES.size)
-    scale = np.zeros(_NODES.size)
-    for perm, sign in _PERMUTATIONS[n]:
-        value += sign * np.prod([bez[i, perm[i]] for i in range(n)], axis=0)
-        scale += np.prod([bound[i, perm[i]] for i in range(n)], axis=0)
+    value = np.linalg.det(bez.transpose(2, 0, 1))
+    # Hadamard's bound on the determinant of the entries' sizes
+    scale = np.prod(np.linalg.norm(bound, axis=1), axis=0)
     coef = _CHEB_FIT @ value
     coef[np.abs(coef) <= 256.0 * np.finfo(float).eps * scale.max()] = 0.0
     coef = np.trim_zeros(coef, "b")
@@ -558,9 +548,10 @@ def stationary_solve(
     with two exceptions where the interior is skipped because its
     stationary points cannot be told apart numerically, and ``gap``
     bounds the value lost: a user whose weighted rate spans less than
-    ``WEIGHT_TOL`` of the total is treated as weightless (``gap`` is
-    that span), and capped prices up to ``LAMBDA_FLOOR`` are treated as
-    zero (``gap`` is their bill at ``power_cap`` on both powers).
+    1e-9 of the total is treated as weightless (``gap`` is that span),
+    and capped prices up to ``LAMBDA_FLOOR`` are treated as zero
+    (``gap`` is their bill at ``power_cap`` on both powers).  Of ``cfg``
+    only ``power_cap`` is read.
     """
     par = _params(ch, dual)
     g11, g12, g21, g22, n1, n2, mu1, mu2, l1, l2 = par
@@ -586,11 +577,11 @@ def stationary_solve(
         inside = peaks[0] > 0.0 and peaks[1] > 0.0
         price_gap = 0.0
 
-    # a user whose weighted rate spans less than WEIGHT_TOL of the total
+    # a user whose weighted rate spans less than _WEIGHT_TOL of the total
     # is treated as weightless: the objective then peaks on an axis or an
     # edge, and that span bounds the value lost
     span = [a[k] * math.log1p(g * scale[k] / n) for k, (g, n) in enumerate(((g11, n1), (g22, n2)))]
-    weightless = min(span) <= WEIGHT_TOL * sum(span)
+    weightless = min(span) <= _WEIGHT_TOL * sum(span)
     interior = inside and not weightless
     c = (g11 * scale[0] / n1, g12 * scale[1] / n1, g21 * scale[0] / n2, g22 * scale[1] / n2)
     if capped or interior:

@@ -16,7 +16,7 @@ activates at most four strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class TimeSharingSolution:
 class OuterConfig:
     epsilon_cp: float = 1e-4
     max_cuts: int = 200
-    inner: BnbConfig = field(default_factory=BnbConfig)
 
     def __post_init__(self):
         if self.epsilon_cp <= 0.0:
@@ -93,7 +92,7 @@ class CuttingPlaneResult:
     upper: float
     status: str  # "converged" | "stalled" | "max-cuts"
     lower_history: tuple[float, ...] = ()  # relaxation value per iteration
-    upper_history: tuple[float, ...] = ()  # running best achieved dual value
+    upper_history: tuple[float, ...] = ()  # running best dual bound
 
     @property
     def converged(self) -> bool:
@@ -214,7 +213,7 @@ def cutting_plane(
     if (budget.p1 <= 0.0 and rho1 > 0.0) or (budget.p2 <= 0.0 and rho2 > 0.0):
         raise ValueError("budget must be positive for every user with positive weight")
 
-    inner_cfg = replace(cfg.inner, power_cap=1e3 * max(budget.p1, budget.p2))
+    inner_cfg = BnbConfig(power_cap=1e3 * max(budget.p1, budget.p2))
     p_init = (0.5 * budget.p1, 0.5 * budget.p2)
     cuts: list[Cut] = [Cut(p_init, rate_pair_proper(ch, p_init), "initial")]
     for cut in initial_cuts or ():
@@ -243,7 +242,9 @@ def cutting_plane(
             )
         p_new = res.p
         new_cut = Cut(p_new, rate_pair_proper(ch, p_new), "capped" if res.capped else "stationary")
-        evaluated.append((achieved_dual_value(ch, dual, budget, new_cut), dual))
+        # the achieved value plus the oracle's gap bounds the dual function
+        # from above, so ``upper`` stays a certificate
+        evaluated.append((achieved_dual_value(ch, dual, budget, new_cut) + res.gap, dual))
         upper = min(v for v, _ in evaluated)
         lower_history.append(lower)
         upper_history.append(upper)

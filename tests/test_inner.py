@@ -321,9 +321,10 @@ def assert_matches_bnb(ch, dual, cfg=BnbConfig()):
     assert ref.converged
     res = stationary_solve(ch, dual, cfg)
     assert res.capped == ref.capped
-    # never below the incumbent, never above the certified bound (both
-    # up to rounding)
-    assert ref.value - 1e-12 <= res.value <= ref.value + ref.gap + 1e-12, (dual, res, ref)
+    # never below the incumbent by more than its own gap, never above the
+    # certified bound (both up to rounding)
+    assert ref.value - res.gap - 1e-12 <= res.value <= ref.value + ref.gap + 1e-12, (dual, res, ref)
+    return res
 
 
 def assert_matches_grid(ch, dual, points=400):
@@ -396,6 +397,15 @@ class TestStationarySolve:
         res = stationary_solve(sec6, dual, cfg)
         assert res.capped and 0.0 < res.gap <= 1e-13
         assert_matches_bnb(sec6, dual, cfg)
+
+    @pytest.mark.parametrize("prices", [(5e-10, 1e-9), (0.0, 1e-9), (1e-9, 1e-9)])
+    def test_floor_prices_are_bounded_by_gap(self, sec6, prices):
+        # capped prices up to LAMBDA_FLOOR are treated as zero; their bill
+        # at the power cap is the gap, which covers the certified value
+        cap = 1e4
+        res = assert_matches_bnb(sec6, DualPoint(1.0, 1.0, *prices), BnbConfig(power_cap=cap))
+        assert res.capped
+        assert res.gap == sum(prices) * cap > 0.0
 
 
 class TestEliminant:

@@ -17,6 +17,7 @@ from tinregions import (
     primal_recover,
     rate_pair_proper,
     relaxed_dual_lp,
+    stationary_solve,
     ts_point,
 )
 from tinregions.lp import EQUAL, GREATER
@@ -230,6 +231,28 @@ class TestBoundTrajectories:
         monkeypatch.setattr(outer, "bnb_solve", unconverged)
         with pytest.raises(RuntimeError, match="did not converge"):
             cutting_plane(sec6, budget10, RateProfile(0.5))
+
+
+    def test_upper_adds_the_inner_gap(self, sec6, budget10, monkeypatch):
+        # an oracle that reports a gap only bounds the dual function from
+        # above once the gap is added to its achieved value
+        from dataclasses import replace
+
+        from tinregions import outer
+
+        bounds = []
+
+        def with_gap(ch, dual, cfg):
+            res = replace(stationary_solve(ch, dual, cfg), gap=0.25)
+            cut = Cut(res.p, rate_pair_proper(ch, res.p), "stationary")
+            bounds.append(achieved_dual_value(ch, dual, budget10, cut) + res.gap)
+            return res
+
+        monkeypatch.setattr(outer, "bnb_solve", with_gap)
+        cp = cutting_plane(sec6, budget10, RateProfile(0.5), OuterConfig(max_cuts=5))
+        assert cp.upper == min(bounds)
+        assert cp.upper_history == tuple(np.minimum.accumulate(bounds))
+        assert not cp.converged
 
 
 class TestWeakInterference:
