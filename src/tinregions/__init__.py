@@ -51,8 +51,8 @@ from .outer import (
     TimeSharingSolution,
     achieved_dual_value,
     cutting_plane,
+    master_lp,
     primal_recover,
-    relaxed_dual_lp,
     ts_point,
 )
 from .regions import (

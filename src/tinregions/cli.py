@@ -8,7 +8,8 @@ Three subcommands over a JSON channel file:
   strategy mixture, as a JSON document;
 * ``verify``  run the verification suites and report pass/fail.
 
-Exit codes: 0 success, 2 unusable input, 3 solver non-convergence
+Exit codes: 0 success, 2 unusable input (including budgets and
+``--eps-cp`` values the library rejects), 3 solver non-convergence
 (partial output is still written, flagged in the status column).
 """
 
@@ -31,6 +32,7 @@ from .regions import (
     SamplingConfig,
     SWEEP_METHODS,
     lemma1_check,
+    pareto_staircase,
     pure_improper_samples,
     sweep_boundary,
     theorem1_check,
@@ -75,11 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _region_config(args) -> RegionConfig:
-    return RegionConfig(
+def _inputs(args) -> tuple[PowerBudget, RegionConfig]:
+    """The budget and configuration the flags describe; ``ValueError``
+    names a flag value the library rejects."""
+    budget = PowerBudget(args.p1, args.p2)
+    cfg = RegionConfig(
         outer=OuterConfig(epsilon_cp=args.eps_cp),
         sampling=SamplingConfig(seed=args.seed),
     )
+    return budget, cfg
 
 
 def _write_rows(path: str, rows: list[tuple]) -> None:
@@ -93,25 +99,13 @@ def _write_rows(path: str, rows: list[tuple]) -> None:
             )
 
 
-def _pareto_staircase(samples: np.ndarray) -> np.ndarray:
-    order = np.lexsort((-samples[:, 1], -samples[:, 0]))
-    s = samples[order]
-    running = np.maximum.accumulate(s[:, 1])
-    keep = np.empty(len(s), dtype=bool)
-    keep[0] = True
-    keep[1:] = s[1:, 1] > running[:-1]
-    return s[keep]
-
-
-def cmd_region(args) -> int:
+def cmd_region(args, budget: PowerBudget, cfg: RegionConfig) -> int:
     ch = load_channel(args.channel)
-    budget = PowerBudget(args.p1, args.p2)
-    cfg = _region_config(args)
     rows: list[tuple] = []
     exit_code = 0
     if args.method == "pure-improper-samples":
         samples = pure_improper_samples(ch, budget, cfg.sampling)
-        for r1, r2 in _pareto_staircase(samples):
+        for r1, r2 in pareto_staircase(samples):
             rows.append((args.method, None, r1, r2, None, "ok"))
     else:
         if args.beta is not None:
@@ -127,10 +121,8 @@ def cmd_region(args) -> int:
     return exit_code
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, budget: PowerBudget, cfg: RegionConfig) -> int:
     ch = load_channel(args.channel)
-    budget = PowerBudget(args.p1, args.p2)
-    cfg = _region_config(args)
     solution, cp = ts_point(ch, budget, RateProfile(args.beta), cfg.outer)
     doc = {
         "R": solution.R,
@@ -194,10 +186,8 @@ def _run_verify_suite(suite: str, args, ch, budget, cfg) -> tuple[bool, str]:
     return ok, line
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, budget: PowerBudget, cfg: RegionConfig) -> int:
     ch = load_channel(args.channel)
-    budget = PowerBudget(args.p1, args.p2)
-    cfg = _region_config(args)
     suites = ["lemma1", "theorem1", "duality", "nesting"] if args.suite == "all" else [args.suite]
     all_ok = True
     for suite in suites:
@@ -211,19 +201,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "region":
-            return cmd_region(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        budget, cfg = _inputs(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    commands = {"region": cmd_region, "solve": cmd_solve, "verify": cmd_verify}
+    try:
+        return commands[args.command](args, budget, cfg)
     except ChannelFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

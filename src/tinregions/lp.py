@@ -12,11 +12,23 @@ are basic (vertex) solutions.
 Dual values follow the shadow-price convention: ``dual[i]`` is the
 sensitivity of the optimal objective (in the problem's own sense) to
 the right-hand side of row i.
+
+A solve can resume from an earlier optimal basis (``start``, taken from
+``LpSolution.basis``).  Basic columns are labelled by what they are,
+not where they sit: ``("x+", j)`` and ``("x-", j)`` for the two parts of
+variable j (the second exists only for a free variable) and
+``("slack", i)`` for the slack or surplus of row i.  The labels survive
+appending variables to an LP with unchanged rows, which keeps the old
+basis primal feasible (the new variables start nonbasic at zero), so
+phase 1 is skipped and phase 2 continues from there.  A start that does
+not map onto a nonsingular, primal feasible basis of the new LP falls
+back to the cold two-phase solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +40,15 @@ EQUAL = "="
 
 FEAS_TOL = 1e-9
 COST_TOL = 1e-10
+#: Relative width within which two ratio-test ratios count as a tie for
+#: Bland's rule.  An absolute width let a row whose ratio was 5 % above
+#: the minimum (1.349e-8 against 1.284e-8) leave the basis, which drove
+#: the minimum row's basic value to -0.0139.
+RATIO_TIE_TOL = 1e-12
+_TIE_LOW = 1.0 - RATIO_TIE_TOL
+_TIE_HIGH = 1.0 + RATIO_TIE_TOL
+#: Largest condition number accepted for a warm-start basis.
+_WARM_COND_MAX = 1e12
 _MAX_PIVOTS = 50_000
 
 
@@ -86,6 +107,65 @@ class LpSolution:
     primal: np.ndarray | None = None
     dual: np.ndarray | None = None
     objective: float | None = None
+    # optimal basic columns and the column layout that names them; the
+    # labels are built only when ``basis`` is read
+    _basic: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def basis(self) -> tuple[tuple[str, int], ...] | None:
+        """Labels of the optimal basic columns, one per row, for
+        ``lp_solve(..., start=...)``; ``None`` unless optimal."""
+        if self._basic is None:
+            return None
+        cols, layout = self._basic
+        return tuple(_label(k, *layout) for k in cols)
+
+
+def _label(
+    k: int, col_of_var: list[tuple[int, int]], n_struct: int, extra_rows: list[int], n_slack: int
+) -> tuple[str, int]:
+    """Label of extended column k: the structural parts come first, then
+    the slack or surplus columns, then the artificials, each with its
+    row."""
+    if k >= n_struct:
+        k -= n_struct
+        return ("slack" if k < n_slack else "artificial", extra_rows[k])
+    j = next(j for j, pair in enumerate(col_of_var) if k in pair)
+    return ("x+" if k == col_of_var[j][0] else "x-", j)
+
+
+def _column(
+    label: tuple[str, int],
+    col_of_var: list[tuple[int, int]],
+    n_struct: int,
+    extra_rows: list[int],
+    n_slack: int,
+) -> int:
+    """Extended column carrying a non-artificial label, or -1."""
+    kind, i = label
+    if kind in ("x+", "x-") and 0 <= i < len(col_of_var):
+        return col_of_var[i][kind == "x-"]  # -1 for the x- of a bounded variable
+    if kind == "slack" and i in extra_rows[:n_slack]:
+        return n_struct + extra_rows.index(i)
+    return -1
+
+
+def _warm_basis(
+    start: Sequence[tuple[str, int]], layout: tuple, A_ext: np.ndarray, b: np.ndarray
+) -> list[int] | None:
+    """Columns of ``start`` in this LP if they form a nonsingular basis
+    whose basic solution is primal feasible, else ``None``."""
+    cols = [_column(label, *layout) for label in start]
+    m = A_ext.shape[0]
+    if len(cols) != m or min(cols, default=0) < 0 or len(set(cols)) != m:
+        return None
+    B = A_ext[:, cols]
+    if not np.linalg.cond(B) <= _WARM_COND_MAX:
+        return None
+    x_B = np.linalg.solve(B, b)
+    if not float(np.min(x_B, initial=0.0)) >= -FEAS_TOL:
+        return None
+    return cols
 
 
 def _simplex(A_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[int], allowed: np.ndarray) -> str:
@@ -93,7 +173,8 @@ def _simplex(A_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[in
 
     Mutates ``basis``.  Entering variable: lowest eligible index with
     reduced cost above tolerance; leaving variable: minimum-ratio row,
-    ties broken by lowest basic-variable index (Bland's rule).
+    ties (ratios equal to within ``RATIO_TIE_TOL``, relatively) broken
+    by lowest basic-variable index (Bland's rule).
 
     A column whose computed direction is numerically zero while its
     reduced cost sits at the noise floor is retired rather than declared
@@ -124,11 +205,11 @@ def _simplex(A_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[in
         for i in range(m):
             if d[i] > FEAS_TOL:
                 ratio = max(x_B[i], 0.0) / d[i]
-                if ratio < best_ratio - FEAS_TOL or (
-                    ratio < best_ratio + FEAS_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
+                if leave < 0 or ratio < best_ratio * _TIE_LOW:
                     best_ratio = ratio
+                    leave = i
+                elif ratio <= best_ratio * _TIE_HIGH and basis[i] < basis[leave]:
+                    best_ratio = min(ratio, best_ratio)
                     leave = i
         if leave < 0:
             if reduced[enter] <= 1e-7 and float(np.max(d)) <= 1e-9:
@@ -141,8 +222,12 @@ def _simplex(A_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[in
     raise RuntimeError("simplex pivot limit exceeded")
 
 
-def lp_solve(lp: LinearProgram) -> LpSolution:
-    """Solve a small dense LP, reporting primal, duals and the objective."""
+def lp_solve(lp: LinearProgram, start: Sequence[tuple[str, int]] | None = None) -> LpSolution:
+    """Solve a small dense LP, reporting primal, duals and the objective.
+
+    ``start`` is the ``basis`` of an earlier solution of an LP with the
+    same rows and possibly more variables; when it is still a feasible
+    basis, phase 1 is skipped."""
     n = lp.n_vars
     m = len(lp.rows)
     maximize = lp.sense == "max"
@@ -190,25 +275,30 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     basis = [-1] * m
     artificial: list[int] = []
     extra: list[np.ndarray] = []
+    extra_rows: list[int] = []
     for i, rel in enumerate(rels):
         if rel == LESS:
             col = np.zeros(m)
             col[i] = 1.0
             extra.append(col)
+            extra_rows.append(i)
             c_ext.append(0.0)
             basis[i] = n_struct + len(extra) - 1
         elif rel == GREATER:
             col = np.zeros(m)
             col[i] = -1.0
             extra.append(col)
+            extra_rows.append(i)
             c_ext.append(0.0)
             if rhs[i] == 0.0:
                 basis[i] = n_struct + len(extra) - 1
+    n_slack = len(extra)
     for i, rel in enumerate(rels):
         if basis[i] < 0:
             col = np.zeros(m)
             col[i] = 1.0
             extra.append(col)
+            extra_rows.append(i)
             c_ext.append(0.0)
             basis[i] = n_struct + len(extra) - 1
             artificial.append(basis[i])
@@ -219,12 +309,18 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         A_ext[:, k] = col
     for k, col in enumerate(extra):
         A_ext[:, n_struct + k] = col
+    layout = (col_of_var, n_struct, extra_rows, n_slack)
 
     is_artificial = np.zeros(N, dtype=bool)
     is_artificial[artificial] = True
 
+    warm = None
+    if start is not None:
+        warm = _warm_basis(start, layout, A_ext, rhs)
+    if warm is not None:
+        basis = warm
     # Phase 1: drive the artificials to zero.
-    if artificial:
+    elif artificial:
         costs1 = np.zeros(N)
         costs1[artificial] = -1.0
         status = _simplex(A_ext, rhs, costs1, basis, np.ones(N, dtype=bool))
@@ -282,4 +378,10 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         if bad:
             raise RuntimeError(f"simplex returned an infeasible point (row {i})")
 
-    return LpSolution(status="optimal", primal=primal, dual=y, objective=value)
+    return LpSolution(
+        status="optimal",
+        primal=primal,
+        dual=y,
+        objective=value,
+        _basic=(basis, layout),
+    )

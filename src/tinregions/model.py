@@ -106,8 +106,8 @@ class PowerBudget:
     p2: float
 
     def __post_init__(self):
-        if self.p1 < 0.0 or self.p2 < 0.0:
-            raise ValueError("power budgets must be >= 0")
+        if not (0.0 <= self.p1 < math.inf and 0.0 <= self.p2 < math.inf):
+            raise ValueError("power budgets must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,18 @@ the continuum of inner power vectors by a finite set of generated
 points ("cuts") turns the outer problem into a small LP whose optimum
 is a lower bound; evaluating the dual objective at each generated dual
 point yields upper bounds, and the loop stops once they agree to within
-``epsilon_cp``.  The time-sharing weights are then recovered from the
-LP over the accumulated cuts, which by the vertex structure of that LP
-activates at most four strategies.
+``epsilon_cp``.
+
+The loop solves that LP in its primal form, the master of
+:func:`master_lp`: maximize R over time-sharing weights tau on the cuts
+subject to two rate rows, two power rows and the simplex row (five rows
+however many cuts there are).  Its optimum is the relaxation's lower
+bound, and the duals of its rate and power rows are the next trial
+(mu, lambda) (Dantzig-Wolfe column generation).  A new cut appends one
+column, so each iteration resumes the simplex from the previous optimal
+basis.  The time-sharing weights are recovered from the same master
+over the accumulated cuts; its vertex structure activates at most four
+strategies.
 """
 
 from __future__ import annotations
@@ -30,13 +39,19 @@ _LN2 = math.log(2.0)
 DUPLICATE_CUT_TOL = 1e-12
 ACTIVE_TAU_TOL = 1e-9
 MAX_ACTIVE_STRATEGIES = 4
+#: Master duals within this fraction of the largest (or of 1) are set
+#: to exactly zero.  The basis solve leaves rounding residue such as
+#: lambda2 = 5.8e-17 next to a positive mu2; the inner oracle reads a
+#: price that small as a real one, builds a degenerate resultant and
+#: raises.
+DUAL_SNAP_TOL = 1e-12
 
 __all__ = [
     "Cut",
     "TimeSharingSolution",
     "OuterConfig",
     "CuttingPlaneResult",
-    "relaxed_dual_lp",
+    "master_lp",
     "achieved_dual_value",
     "cutting_plane",
     "primal_recover",
@@ -78,8 +93,8 @@ class OuterConfig:
     max_cuts: int = 200
 
     def __post_init__(self):
-        if self.epsilon_cp <= 0.0:
-            raise ValueError("epsilon_cp must be > 0")
+        if not 0.0 < self.epsilon_cp < math.inf:
+            raise ValueError("epsilon_cp must be finite and > 0")
         if self.max_cuts < 1:
             raise ValueError("max_cuts must be >= 1")
 
@@ -103,40 +118,40 @@ class CuttingPlaneResult:
         return self.upper - self.lower
 
 
-def relaxed_dual_lp(
+def master_lp(
     cuts: list[Cut] | tuple[Cut, ...], budget: PowerBudget, profile: RateProfile
 ) -> LinearProgram:
-    """LP relaxation of the dual over the variables (mu1, mu2, lambda1,
-    lambda2, z): minimize z subject to the profile normalization and one
-    lower bound on z per cut."""
+    """Master LP over the variables (R, tau_1, ..., tau_L): maximize R
+    subject to sum_i tau_i r_k,i >= rho_k R (rows 0, 1), sum_i tau_i
+    p_k,i <= P_k (rows 2, 3) and sum_i tau_i = 1 (row 4), tau >= 0 and R
+    free.  R comes first, so a new cut appends a variable."""
     if not cuts:
         raise ValueError("at least one cut is required")
     rho1, rho2 = profile.rho
     rows: list[tuple[np.ndarray, str, float]] = [
-        (np.array([rho1, rho2, 0.0, 0.0, 0.0]), EQUAL, 1.0)
+        (np.array([-rho1] + [c.rates.r1 for c in cuts]), GREATER, 0.0),
+        (np.array([-rho2] + [c.rates.r2 for c in cuts]), GREATER, 0.0),
+        (np.array([0.0] + [c.p[0] for c in cuts]), LESS, budget.p1),
+        (np.array([0.0] + [c.p[1] for c in cuts]), LESS, budget.p2),
+        (np.array([0.0] + [1.0] * len(cuts)), EQUAL, 1.0),
     ]
-    for cut in cuts:
-        rows.append(
-            (
-                np.array(
-                    [
-                        -cut.rates.r1,
-                        -cut.rates.r2,
-                        -(budget.p1 - cut.p[0]),
-                        -(budget.p2 - cut.p[1]),
-                        1.0,
-                    ]
-                ),
-                GREATER,
-                0.0,
-            )
-        )
+    objective = np.zeros(len(cuts) + 1)
+    objective[0] = 1.0
     return LinearProgram(
-        sense="min",
-        objective=np.array([0.0, 0.0, 0.0, 0.0, 1.0]),
+        sense="max",
+        objective=objective,
         rows=rows,
-        lower=(0.0, 0.0, 0.0, 0.0, -np.inf),
+        lower=(-np.inf,) + (0.0,) * len(cuts),
     )
+
+
+def _master_dual(y: np.ndarray) -> DualPoint:
+    """(mu, lambda) from the master's row duals: mu_k is minus the dual
+    of rate row k and lambda_k the dual of power row k, with rounding
+    residue snapped to zero and negatives clamped."""
+    v = np.array([-y[0], -y[1], y[2], y[3]])
+    v[np.abs(v) <= DUAL_SNAP_TOL * max(1.0, float(np.abs(v).max()))] = 0.0
+    return DualPoint(*(max(float(x), 0.0) for x in v))
 
 
 def achieved_dual_value(
@@ -228,13 +243,15 @@ def cutting_plane(
     upper_history: list[float] = []
     lower = -math.inf
     status = "max-cuts"
+    basis = None
     for _ in range(cfg.max_cuts):
-        sol = lp_solve(relaxed_dual_lp(cuts, budget, profile))
+        # the previous basis stays feasible: a new cut only appends a column
+        sol = lp_solve(master_lp(cuts, budget, profile), start=basis)
         if sol.status != "optimal":
-            raise RuntimeError(f"relaxed dual LP reported {sol.status}")
-        mu1, mu2, l1, l2, z = sol.primal
-        lower = float(z)
-        dual = DualPoint(max(mu1, 0.0), max(mu2, 0.0), max(l1, 0.0), max(l2, 0.0))
+            raise RuntimeError(f"master LP reported {sol.status}")
+        basis = sol.basis
+        lower = float(sol.objective)
+        dual = _master_dual(sol.dual)
         res = bnb_solve(ch, dual, inner_cfg)
         if not res.converged:
             raise RuntimeError(
@@ -284,36 +301,20 @@ def primal_recover(
 ) -> TimeSharingSolution:
     """Optimal time-sharing weights over the generated power vectors.
 
-    Solves max R subject to profile-weighted average rates at least
-    rho_k * R, average powers within budget and weights on the simplex.
-    The LP has at most five rows, so its vertex solution activates at
-    most four strategies; weights below 1e-9 are pruned.
+    Solves the master LP (:func:`master_lp`): max R subject to average
+    rates at least rho_k * R, average powers within budget and weights
+    on the simplex.  The LP has five rows, so its vertex solution
+    activates at most four strategies; weights below 1e-9 are pruned.
     """
     cuts = list(cuts)
     if not cuts:
         raise ValueError("cannot recover a solution from an empty cut list")
     rho1, rho2 = profile.rho
-    L = len(cuts)
-    c = np.zeros(L + 1)
-    c[-1] = 1.0
-    rows: list[tuple[np.ndarray, str, float]] = []
-    for rho, rates in ((rho1, [ct.rates.r1 for ct in cuts]), (rho2, [ct.rates.r2 for ct in cuts])):
-        if rho > 0.0:
-            rows.append((np.array(rates + [-rho]), GREATER, 0.0))
-    for k in range(2):
-        rows.append((np.array([ct.p[k] for ct in cuts] + [0.0]), LESS, (budget.p1, budget.p2)[k]))
-    rows.append((np.array([1.0] * L + [0.0]), EQUAL, 1.0))
-    lp = LinearProgram(
-        sense="max",
-        objective=c,
-        rows=rows,
-        lower=(0.0,) * L + (-np.inf,),
-    )
-    sol = lp_solve(lp)
+    sol = lp_solve(master_lp(cuts, budget, profile))
     if sol.status != "optimal":
         raise RuntimeError(f"primal recovery LP reported {sol.status}")
-    taus = sol.primal[:L]
-    active = [(float(taus[i]), cuts[i]) for i in range(L) if taus[i] > ACTIVE_TAU_TOL]
+    taus = sol.primal[1:]
+    active = [(float(t), cut) for t, cut in zip(taus, cuts) if t > ACTIVE_TAU_TOL]
     if len(active) > MAX_ACTIVE_STRATEGIES:
         raise RuntimeError(
             f"{len(active)} active strategies exceed the guaranteed maximum of 4"

@@ -56,6 +56,7 @@ __all__ = [
     "BoundCheckReport",
     "pure_proper_point",
     "pure_improper_samples",
+    "pareto_staircase",
     "upper_right_hull",
     "sweep_boundary",
     "ts_sweep",
@@ -278,6 +279,18 @@ def _drop_interior(pts: np.ndarray) -> np.ndarray:
     return pts[pts[:, 1] >= chain]
 
 
+def pareto_staircase(points: np.ndarray) -> np.ndarray:
+    """The points of an (n, 2) cloud that no other point dominates, by
+    r1 descending; of equal-r1 points only the highest is kept."""
+    order = np.lexsort((-points[:, 1], -points[:, 0]))
+    s = points[order]
+    running = np.maximum.accumulate(s[:, 1])
+    keep = np.empty(len(s), dtype=bool)
+    keep[0] = True
+    keep[1:] = s[1:, 1] > running[:-1]
+    return s[keep]
+
+
 def upper_right_hull(points) -> np.ndarray:
     """Vertices of the Pareto face of the convex hull of a point cloud.
 
@@ -297,13 +310,7 @@ def upper_right_hull(points) -> np.ndarray:
     r2max = float(pts[:, 1].max())
     pts = _drop_interior(pts)
     aug = np.vstack([pts, [[r1max, 0.0], [0.0, r2max]]])
-    order = np.lexsort((-aug[:, 1], -aug[:, 0]))
-    s = aug[order]
-    running = np.maximum.accumulate(s[:, 1])
-    keep = np.empty(len(s), dtype=bool)
-    keep[0] = True
-    keep[1:] = s[1:, 1] > running[:-1]
-    cand = s[keep][::-1]  # r1 ascending, r2 descending, no dominated points
+    cand = pareto_staircase(aug)[::-1]  # r1 ascending, r2 descending
     stack: list[tuple[float, float]] = []
     for qx, qy in cand:
         while len(stack) >= 2:
@@ -373,8 +380,8 @@ def ts_sweep(
     """Time-sharing solutions across profiles, warm-starting each profile
     with cuts from its neighbours (generated power vectors are valid
     cuts for every profile).  The pool keeps the active strategies plus
-    the freshest cuts, capped so the relaxed LP stays small over a long
-    sweep."""
+    the freshest cuts, capped so the master LP keeps few columns over a
+    long sweep."""
     out = []
     pool: tuple = ()
     for beta in betas:

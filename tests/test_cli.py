@@ -1,10 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from tinregions import example_channel_path, load_channel, rate_pair_proper
+from tinregions import cli, example_channel_path, load_channel, rate_pair_proper
 from tinregions.cli import main
+from tinregions.fileio import format_float
 
 
 def read_region_csv(path):
@@ -64,6 +66,55 @@ class TestRegionCommand:
         assert all(r["beta"] == "" and r["R"] == "" for r in rows)
         r1 = [float(r["r1"]) for r in rows]
         assert all(b <= a for a, b in zip(r1, r1[1:]))
+
+    def test_sample_csv_is_the_pareto_staircase(self, channel_file, tmp_path, monkeypatch):
+        # a cloud with repeated r1 values, equal points and dominated
+        # points; the rows must be those of the lexsort and running-max
+        # staircase, byte for byte
+        rng = np.random.default_rng(5)
+        cloud = np.round(rng.uniform(0.0, 4.0, (400, 2)), 1)
+        cloud = np.vstack([cloud, cloud[:40]])
+        monkeypatch.setattr(cli, "pure_improper_samples", lambda ch, budget, cfg: cloud)
+        out = tmp_path / "imp.csv"
+        code = main(
+            [
+                "region", "--channel", channel_file,
+                "--method", "pure-improper-samples", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        order = np.lexsort((-cloud[:, 1], -cloud[:, 0]))
+        s = cloud[order]
+        running = np.maximum.accumulate(s[:, 1])
+        keep = np.concatenate([[True], s[1:, 1] > running[:-1]])
+        want = "method,beta,r1,r2,R,status\n" + "".join(
+            f"pure-improper-samples,,{format_float(r1)},{format_float(r2)},,ok\n"
+            for r1, r2 in s[keep]
+        )
+        assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--eps-cp", "0"],
+            ["--eps-cp", "-1"],
+            ["--eps-cp", "nan"],
+            ["--p1", "nan"],
+            ["--p1", "inf"],
+            ["--p1", "-1"],
+            ["--p2", "nan"],
+            ["--p2", "inf"],
+            ["--p2", "-1"],
+        ],
+    )
+    @pytest.mark.parametrize("command", ["region", "solve"])
+    def test_unusable_numbers_exit_2(self, channel_file, tmp_path, capsys, command, flags):
+        args = [command, "--channel", channel_file, "--out", str(tmp_path / "x"), *flags]
+        args += ["--method", "ts-proper"] if command == "region" else ["--beta", "0.5"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("epsilon_cp" in err or "power budgets" in err)
+        assert not (tmp_path / "x").exists()
 
     def test_missing_channel_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

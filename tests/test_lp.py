@@ -194,3 +194,120 @@ def test_redundant_duplicate_row_changes_nothing():
     dup = LinearProgram("max", lp.objective, lp.rows + [lp.rows[0]])
     sol2 = lp_solve(dup)
     assert sol2.objective == pytest.approx(sol.objective, abs=1e-9)
+
+
+def test_ratio_ties_are_relative():
+    # ratios 1.349e-8 (row 0) and 1.284e-8 (row 1) differ by 5 %; the
+    # minimum must leave, or row 1's basic value falls to -0.0137
+    A_ext = np.array([[1.0, 1.0, 0.0], [2.1e7, 0.0, 1.0]])
+    b = np.array([1.349e-8, 2.1e7 * 1.284e-8])
+    basis = [1, 2]
+    status = lp_module._simplex(A_ext, b, np.array([1.0, 0.0, 0.0]), basis, np.ones(3, bool))
+    assert status == "optimal"
+    assert basis == [1, 0]
+
+
+def _master_like_lp(rng, n_cols):
+    """max R over (R, tau) with rate rows tau.r_k >= rho_k R, power rows
+    tau.p_k <= P_k and sum(tau) = 1; column 0 is within budget, so every
+    column set is feasible."""
+    r = rng.uniform(0.0, 5.0, (2, n_cols))
+    p = rng.uniform(0.0, 20.0, (2, n_cols))
+    p[:, 0] = 5.0
+    rho = rng.uniform(0.1, 0.9)
+    rows = [
+        (np.append(-rho, r[0]), GREATER, 0.0),
+        (np.append(-(1.0 - rho), r[1]), GREATER, 0.0),
+        (np.append(0.0, p[0]), LESS, 10.0),
+        (np.append(0.0, p[1]), LESS, 10.0),
+        (np.append(0.0, np.ones(n_cols)), EQUAL, 1.0),
+    ]
+    objective = np.zeros(n_cols + 1)
+    objective[0] = 1.0
+    return LinearProgram("max", objective, rows, lower=(-np.inf,) + (0.0,) * n_cols)
+
+
+def _first_columns(lp, n_cols):
+    rows = [(coeffs[: n_cols + 1], rel, rhs) for coeffs, rel, rhs in lp.rows]
+    return LinearProgram(lp.sense, lp.objective[: n_cols + 1], rows, lower=lp.lower[: n_cols + 1])
+
+
+def _counting_simplex(monkeypatch):
+    calls = []
+    original = lp_module._simplex
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(lp_module, "_simplex", counting)
+    return calls
+
+
+def test_basis_labels_name_columns_by_role():
+    lp = LinearProgram(
+        "max",
+        np.array([1.0, 0.0, -1.0]),
+        [
+            (np.array([1.0, 0.0, 0.0]), LESS, 1.0),
+            (np.array([0.0, 1.0, 0.0]), LESS, 1.0),
+            (np.array([1.0, 0.0, -1.0]), LESS, 3.0),
+        ],
+        lower=(0.0, 0.0, -np.inf),
+    )
+    sol = lp_solve(lp)
+    assert sol.objective == pytest.approx(3.0, abs=1e-12)
+    assert sorted(sol.basis) == [("slack", 1), ("x+", 0), ("x-", 2)]
+    unbounded = LinearProgram("max", np.array([1.0]), [(np.array([1.0]), GREATER, 1.0)])
+    assert lp_solve(unbounded).basis is None
+
+
+def test_warm_start_after_appending_columns_matches_cold(monkeypatch):
+    rng = np.random.default_rng(46)
+    calls = _counting_simplex(monkeypatch)
+    for _ in range(30):
+        n_old = int(rng.integers(1, 8))
+        full = _master_like_lp(rng, n_old + int(rng.integers(1, 4)))
+        old = lp_solve(_first_columns(full, n_old))
+        cold = lp_solve(full)
+        del calls[:]
+        warm = lp_solve(full, start=old.basis)
+        assert len(calls) == 1  # phase 2 only
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert warm.primal[0] == pytest.approx(cold.primal[0], abs=1e-12)
+        assert lp_solve(full, start=old.basis).primal.tobytes() == warm.primal.tobytes()
+
+
+def test_unusable_start_falls_back_to_cold():
+    lp = LinearProgram(
+        "max",
+        np.array([1.0, 1.0]),
+        [
+            (np.array([1.0, 0.0]), LESS, 1.0),
+            (np.array([0.0, 1.0]), LESS, 1.0),
+            (np.array([1.0, 1.0]), LESS, 1.5),
+        ],
+    )
+    cold = lp_solve(lp)
+    starts = [
+        [("x+", 0), ("x+", 1), ("slack", 2)],  # infeasible: slack 2 at -0.5
+        [("x+", 0), ("x+", 0), ("slack", 2)],  # repeated column, singular
+        [("x+", 0), ("slack", 0), ("slack", 2)],  # singular
+        [("x+", 0), ("x+", 1)],  # one label short
+        [("x+", 0), ("x+", 9), ("slack", 2)],  # no such variable
+        [("x-", 0), ("x+", 1), ("slack", 2)],  # x0 is not free
+        [("artificial", 0), ("x+", 1), ("slack", 2)],
+    ]
+    for start in starts:
+        sol = lp_solve(lp, start=start)
+        assert sol.primal.tobytes() == cold.primal.tobytes()
+        assert sol.dual.tobytes() == cold.dual.tobytes()
+        assert sol.basis == cold.basis
+
+
+def test_cold_start_runs_phase_1(monkeypatch):
+    lp = _master_like_lp(np.random.default_rng(47), 4)
+    calls = _counting_simplex(monkeypatch)
+    sol = lp_solve(lp, start=[("x+", 0)] * 5)
+    assert len(calls) == 2
+    assert sol.objective == lp_solve(lp).objective

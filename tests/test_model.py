@@ -6,6 +6,7 @@ import pytest
 
 from tinregions import (
     ChannelRealization,
+    PowerBudget,
     TransmitStrategy,
     alignment_phases,
     enhance,
@@ -220,6 +221,12 @@ class TestInvariants:
     def test_noise_must_be_positive(self):
         with pytest.raises(ValueError):
             ChannelRealization(1.0, 1.0, 1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_budget_must_be_finite_and_nonnegative(self, bad):
+        for p in ((bad, 10.0), (10.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                PowerBudget(*p)
 
     def test_log_arguments_stay_in_unit_interval(self, sec6):
         rng = np.random.default_rng(10)
