@@ -9,7 +9,8 @@ Three subcommands over a JSON channel file:
 * ``verify``  run the verification suites and report pass/fail.
 
 Exit codes: 0 success, 2 unusable input (including budgets and
-``--eps-cp`` values the library rejects), 3 solver non-convergence
+``--eps-cp`` values the library rejects, and ``--trials`` or ``--betas``
+below 1), 3 solver non-convergence
 (partial output is still written, flagged in the status column).
 """
 
@@ -79,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _inputs(args) -> tuple[PowerBudget, RegionConfig]:
     """The budget and configuration the flags describe; ``ValueError``
-    names a flag value the library rejects."""
+    names a flag value the library rejects, or a count below 1."""
+    for flag in ("trials", "betas"):
+        if getattr(args, flag, 1) < 1:
+            raise ValueError(f"--{flag} must be >= 1")
     budget = PowerBudget(args.p1, args.p2)
     cfg = RegionConfig(
         outer=OuterConfig(epsilon_cp=args.eps_cp),

@@ -11,6 +11,13 @@ All functions here are pure and safe to call concurrently.  The array
 variants (`proper_rates`, `improper_rates`, `upper_bound_rates`)
 broadcast over numpy inputs and back the grid searches in
 :mod:`tinregions.regions`.
+
+The improper rate is computed in two parts: `_improper_terms` holds
+everything that does not depend on the pseudovariance phases, and
+`_improper_finish` adds the phased terms, takes the log and clamps.
+`improper_rates` calls both; the improper sampler in
+:mod:`tinregions.regions` computes the phase-free part of its grid once
+and finishes it at every phase difference.
 """
 
 from __future__ import annotations
@@ -192,19 +199,30 @@ def rate_pair_proper(ch: ChannelRealization, p) -> RatePair:
     return RatePair(float(r1), float(r2))
 
 
-def _improper_rate_one(hkk, hkj, noise, ck, kapk, phik, cj, kapj, phij):
+def _improper_terms(hkk, hkj, noise, ck, kapk, cj, kapj):
+    """Phase-free part of user k's improper rate, for user j interfering.
+
+    Returns ``(a, b, cy2, den, base)``: the pseudovariance factors
+    ``a = h_kk^2 kappa_k`` and ``b = h_kj^2 kappa_j`` (the channel phase
+    enters twice), the squared received variance ``cy2``, the
+    interference-pseudovariance term ``den`` and the proper base rate
+    ``base = log2(1 + g_kk c_k / c_s)``.
+    """
     gkk = abs(hkk) ** 2
     gkj = abs(hkj) ** 2
     cs = gkj * cj + noise
     cy = gkk * ck + cs
-    # pseudovariances pick up twice the channel phase
-    pty = (hkk * hkk) * kapk * np.exp(1j * np.asarray(phik)) + (hkj * hkj) * kapj * np.exp(
-        1j * np.asarray(phij)
-    )
-    num = 1.0 - np.abs(pty) ** 2 / cy**2
     den = 1.0 - (gkj * kapj) ** 2 / cs**2
+    return (hkk * hkk) * kapk, (hkj * hkj) * kapj, cy**2, den, np.log1p(gkk * ck / cs) / _LN2
+
+
+def _improper_finish(pa, pb, cy2, den, base, out=None):
+    """User k's rate from the phased pseudovariance terms
+    ``pa = a e^{i phi_k}`` and ``pb = b e^{i phi_j}`` and the other
+    terms of :func:`_improper_terms`; writes into ``out`` if given."""
+    num = 1.0 - np.abs(pa + pb) ** 2 / cy2
     # nonnegative in exact arithmetic; clamp the rounding residue
-    return np.maximum(np.log1p(gkk * ck / cs) / _LN2 + 0.5 * np.log2(num / den), 0.0)
+    return np.maximum(base + 0.5 * np.log2(num / den), 0.0, out=out)
 
 
 def improper_rates(ch: ChannelRealization, c1, c2, kappa1, kappa2, phi1, phi2):
@@ -215,8 +233,12 @@ def improper_rates(ch: ChannelRealization, c1, c2, kappa1, kappa2, phi1, phi2):
     positive because the noise variances are.
     """
     h11, h12, h21, h22 = (complex(ch.h11), complex(ch.h12), complex(ch.h21), complex(ch.h22))
-    r1 = _improper_rate_one(h11, h12, ch.noise1, c1, kappa1, phi1, c2, kappa2, phi2)
-    r2 = _improper_rate_one(h22, h21, ch.noise2, c2, kappa2, phi2, c1, kappa1, phi1)
+    a1, b1, cy1, den1, base1 = _improper_terms(h11, h12, ch.noise1, c1, kappa1, c2, kappa2)
+    a2, b2, cy2, den2, base2 = _improper_terms(h22, h21, ch.noise2, c2, kappa2, c1, kappa1)
+    e1 = np.exp(1j * np.asarray(phi1))
+    e2 = np.exp(1j * np.asarray(phi2))
+    r1 = _improper_finish(a1 * e1, b1 * e2, cy1, den1, base1)
+    r2 = _improper_finish(a2 * e2, b2 * e1, cy2, den2, base2)
     return r1, r2
 
 

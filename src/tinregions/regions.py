@@ -30,6 +30,8 @@ from .model import (
     PowerBudget,
     RatePair,
     RateProfile,
+    _improper_finish,
+    _improper_terms,
     alignment_phases,
     enhance,
     improper_rates,
@@ -214,6 +216,27 @@ def pure_proper_point(
     return best_val, (best[0], best[1])
 
 
+#: Rows per block of the passes over the improper samples: the sampler
+#: finishes each block of its grid at every phase difference, and the
+#: hull prefilter reads the cloud block by block, so that a block and
+#: its temporaries stay in cache.
+_BLOCK = 1 << 13
+
+
+def _blocks(n: int):
+    """Consecutive slices covering ``range(n)``, each of ``_BLOCK`` rows
+    but the last.  A lone trailing row joins the block before it,
+    because ``np.dot`` takes another kernel, with other rounding, for a
+    single row."""
+    start = 0
+    while start < n:
+        stop = start + _BLOCK
+        if stop + 1 >= n:
+            stop = n
+        yield slice(start, stop)
+        start = stop
+
+
 def pure_improper_samples(
     ch: ChannelRealization, budget: PowerBudget, sampling: SamplingConfig = SamplingConfig()
 ) -> np.ndarray:
@@ -222,30 +245,46 @@ def pure_improper_samples(
     The grid spans powers up to the per-user caps, impropriety fractions
     kappa/c in [0, 1] and the pseudovariance phase difference (rates
     depend on the phases only through the difference).  Returns every
-    evaluated pair as an (N, 2) array, deterministic for a fixed seed.
+    evaluated pair as an (N, 2) array, deterministic for a fixed seed:
+    the grid at each phase difference in turn, then the random
+    strategies.  The grid is walked in blocks of ``_BLOCK`` points, whose
+    phase-free rate terms are computed once and finished at every phase
+    difference straight into the result.  The result is the only
+    allocation of its length; the others are of the grid's length (the
+    four grid coordinates) or a block's.
     """
     c1 = np.linspace(0.0, budget.p1, sampling.power_grid)
     c2 = np.linspace(0.0, budget.p2, sampling.power_grid)
     frac = np.linspace(0.0, 1.0, sampling.fraction_grid)
     psis = np.linspace(0.0, TWO_PI, sampling.phase_grid, endpoint=False)
-    C1, C2, F1, F2 = (a.ravel() for a in np.meshgrid(c1, c2, frac, frac, indexing="ij"))
-    K1 = F1 * C1
-    K2 = F2 * C2
-    chunks = []
-    for psi in psis:
-        r1, r2 = improper_rates(ch, C1, C2, K1, K2, psi, 0.0)
-        chunks.append(np.column_stack((r1, r2)))
+    C1, C2, K1, K2 = (a.ravel() for a in np.meshgrid(c1, c2, frac, frac, indexing="ij"))
+    K1 *= C1  # impropriety fraction times power
+    K2 *= C2
+    h11, h12, h21, h22 = (complex(ch.h11), complex(ch.h12), complex(ch.h21), complex(ch.h22))
+    # user 1 transmits at the phase difference, user 2 at phase 0
+    phases = [np.exp(1j * np.asarray(psi)) for psi in psis]
+    e0 = np.exp(1j * np.asarray(0.0))
+    n = len(C1)
+    out = np.empty((n * len(psis) + sampling.random_count, 2))
+    grid = out[: n * len(psis)].reshape(len(psis), n, 2)
+    for g in _blocks(n):
+        a1, b1, cy1, den1, base1 = _improper_terms(h11, h12, ch.noise1, C1[g], K1[g], C2[g], K2[g])
+        a2, b2, cy2, den2, base2 = _improper_terms(h22, h21, ch.noise2, C2[g], K2[g], C1[g], K1[g])
+        b1 = b1 * e0
+        a2 = a2 * e0
+        for rows, e in zip(grid[:, g], phases):
+            _improper_finish(a1 * e, b1, cy1, den1, base1, out=rows[:, 0])
+            _improper_finish(a2, b2 * e, cy2, den2, base2, out=rows[:, 1])
     if sampling.random_count > 0:
         rng = np.random.default_rng(sampling.seed)
-        n = sampling.random_count
-        rc1 = rng.uniform(0.0, budget.p1, n)
-        rc2 = rng.uniform(0.0, budget.p2, n)
-        rk1 = rng.uniform(0.0, 1.0, n) * rc1
-        rk2 = rng.uniform(0.0, 1.0, n) * rc2
-        rpsi = rng.uniform(0.0, TWO_PI, n)
-        r1, r2 = improper_rates(ch, rc1, rc2, rk1, rk2, rpsi, 0.0)
-        chunks.append(np.column_stack((r1, r2)))
-    return np.concatenate(chunks, axis=0)
+        m = sampling.random_count
+        rc1 = rng.uniform(0.0, budget.p1, m)
+        rc2 = rng.uniform(0.0, budget.p2, m)
+        rk1 = rng.uniform(0.0, 1.0, m) * rc1
+        rk2 = rng.uniform(0.0, 1.0, m) * rc2
+        rpsi = rng.uniform(0.0, TWO_PI, m)
+        out[-m:, 0], out[-m:, 1] = improper_rates(ch, rc1, rc2, rk1, rk2, rpsi, 0.0)
+    return out
 
 
 #: Weights w of the directions w*r1 + (1 - w)*r2 whose maximizers span
@@ -255,28 +294,48 @@ HULL_SUPPORT_WEIGHTS = tuple(float(w) for w in np.linspace(0.0, 1.0, 9))
 
 def _drop_interior(pts: np.ndarray) -> np.ndarray:
     """The points of a cloud that are not strictly below its support
-    polyline.
+    polyline; ``ValueError`` unless every value is finite and >= 0.
 
-    The support points maximize w*r1 + (1 - w)*r2 over the cloud, and
-    the polyline joins them in r1 order, extended left at the height of
-    the r2 maximizer.  Every chord joins two points of the cloud (or a
-    point and its axis projection), so a point strictly below the
-    polyline lies strictly inside the hull or is dominated by an
-    intercept, and is never a vertex of the Pareto face.  Points on a
-    chord, to within rounding, are kept.  Allocates one float and one
-    boolean array of the cloud's length at a time.
+    The support points maximize w*r1 + (1 - w)*r2 over the cloud (the
+    first such point on ties), and the polyline joins them in r1 order,
+    extended left at the height of the r2 maximizer.  Every chord joins
+    two points of the cloud (or a point and its axis projection), so a
+    point strictly below the polyline lies strictly inside the hull or
+    is dominated by an intercept, and is never a vertex of the Pareto
+    face.  Points on a chord, to within rounding, are kept, and so are
+    the support points, among them a largest r1 and a largest r2 of the
+    cloud.  Two passes walk the cloud in blocks of ``_BLOCK`` rows:
+    the first checks the values and finds the support points, the second
+    keeps the points on or above the polyline.  Apart from the result,
+    only block-sized arrays are allocated.
     """
-    buf = np.empty(len(pts))
+    dirs = [np.array((w, 1.0 - w)) for w in HULL_SUPPORT_WEIGHTS]
+    best = [-math.inf] * len(dirs)
+    where = [0] * len(dirs)
+    buf = np.empty(_BLOCK + 1)
+    for s in _blocks(len(pts)):
+        block = pts[s]
+        if not (block.min() >= 0.0 and block.max() < math.inf):  # false on NaN
+            raise ValueError("points must be finite and >= 0")
+        for k, d in enumerate(dirs):
+            v = np.dot(block, d, out=buf[: len(block)])
+            i = int(np.argmax(v))
+            if v[i] > best[k]:  # strict: an earlier block wins a tie
+                best[k], where[k] = v[i], s.start + i
     top: dict[float, float] = {}
-    for w in HULL_SUPPORT_WEIGHTS:
-        i = int(np.argmax(np.dot(pts, (w, 1.0 - w), out=buf)))
+    for i in where:
         x, y = float(pts[i, 0]), float(pts[i, 1])
         top[x] = max(y, top.get(x, y))  # equal support points collapse
-    del buf
     xs = np.array(sorted(top))
-    chain = np.interp(pts[:, 0], xs, [top[x] for x in xs])
-    chain -= 64.0 * np.finfo(float).eps * max(xs[-1], max(top.values()), 1.0)
-    return pts[pts[:, 1] >= chain]
+    ys = np.array([top[x] for x in xs])
+    tol = 64.0 * np.finfo(float).eps * max(xs[-1], max(top.values()), 1.0)
+    kept = []
+    for s in _blocks(len(pts)):
+        block = pts[s]
+        chain = np.interp(block[:, 0], xs, ys)
+        chain -= tol
+        kept.append(block[block[:, 1] >= chain])
+    return np.concatenate(kept)
 
 
 def pareto_staircase(points: np.ndarray) -> np.ndarray:
@@ -299,16 +358,15 @@ def upper_right_hull(points) -> np.ndarray:
     sorted by r1 descending and every input point lies on or below the
     piecewise-linear boundary they define.  Points strictly below a
     polyline of support points are dropped before the sort, which leaves
-    the output unchanged and the sort small.
+    the output unchanged and the sort small.  ``ValueError`` on an empty
+    cloud or on a value that is not finite and >= 0.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.size == 0:
         raise ValueError("empty point set")
-    if not np.all(np.isfinite(pts)) or np.any(pts < 0.0):
-        raise ValueError("points must be finite and >= 0")
+    pts = _drop_interior(pts)  # keeps a largest r1 and a largest r2
     r1max = float(pts[:, 0].max())
     r2max = float(pts[:, 1].max())
-    pts = _drop_interior(pts)
     aug = np.vstack([pts, [[r1max, 0.0], [0.0, r2max]]])
     cand = pareto_staircase(aug)[::-1]  # r1 ascending, r2 descending
     stack: list[tuple[float, float]] = []
@@ -464,8 +522,10 @@ def theorem1_check(
     a random profile by LP, and measures how far the averaged rate pair
     lands outside the interpolated proper time-sharing boundary.  Any
     violation beyond the tolerance would disprove the propriety claim;
-    the report counts them.
+    the report counts them.  ``ValueError`` if ``trials < 1``.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if boundary is None:
         boundary = sweep_boundary(
             "ts-proper", ch, budget, np.linspace(0.0, 1.0, beta_grid), cfg
@@ -537,7 +597,10 @@ def lemma1_check(
     identical on the original and magnitude-only channels.  Powers span
     four decades and the impropriety fraction pins the proper and
     maximally improper endpoints with positive probability.
+    ``ValueError`` if ``trials < 1``.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(cfg.sampling.seed)
     c1 = 10.0 ** rng.uniform(-2.0, 2.0, trials)
     c2 = 10.0 ** rng.uniform(-2.0, 2.0, trials)

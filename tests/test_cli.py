@@ -19,6 +19,29 @@ def channel_file():
     return str(example_channel_path())
 
 
+BAD_NUMBERS = [
+    ["--eps-cp", "0"],
+    ["--eps-cp", "-1"],
+    ["--eps-cp", "nan"],
+    ["--p1", "nan"],
+    ["--p1", "inf"],
+    ["--p1", "-1"],
+    ["--p2", "nan"],
+    ["--p2", "inf"],
+    ["--p2", "-1"],
+]
+BAD_COUNTS = {
+    "region": [["--betas", "0"], ["--betas", "-3"]],
+    "solve": [],
+    "verify": [
+        ["--suite", "theorem1", "--trials", "-5"],
+        ["--suite", "lemma1", "--trials", "0"],
+        ["--suite", "duality", "--betas", "0"],
+        ["--suite", "nesting", "--betas", "-1"],
+    ],
+}
+
+
 class TestRegionCommand:
     def test_ts_three_betas_reproduces_reference_points(self, channel_file, tmp_path):
         out = tmp_path / "ts.csv"
@@ -94,26 +117,25 @@ class TestRegionCommand:
         assert out.read_bytes() == want.encode()
 
     @pytest.mark.parametrize(
-        "flags",
+        "command, flags",
         [
-            ["--eps-cp", "0"],
-            ["--eps-cp", "-1"],
-            ["--eps-cp", "nan"],
-            ["--p1", "nan"],
-            ["--p1", "inf"],
-            ["--p1", "-1"],
-            ["--p2", "nan"],
-            ["--p2", "inf"],
-            ["--p2", "-1"],
+            pytest.param(command, flags, id=f"{command}-flags{i}")
+            for command, counts in BAD_COUNTS.items()
+            for i, flags in enumerate(BAD_NUMBERS + counts)
         ],
     )
-    @pytest.mark.parametrize("command", ["region", "solve"])
     def test_unusable_numbers_exit_2(self, channel_file, tmp_path, capsys, command, flags):
-        args = [command, "--channel", channel_file, "--out", str(tmp_path / "x"), *flags]
-        args += ["--method", "ts-proper"] if command == "region" else ["--beta", "0.5"]
+        args = [command, "--channel", channel_file, *flags]
+        if command == "region":
+            args += ["--method", "ts-proper", "--out", str(tmp_path / "x")]
+        elif command == "solve":
+            args += ["--beta", "0.5", "--out", str(tmp_path / "x")]
+        elif "--suite" not in flags:
+            args += ["--suite", "lemma1"]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and ("epsilon_cp" in err or "power budgets" in err)
+        assert err.startswith("error: ")
+        assert any(word in err for word in ("epsilon_cp", "power budgets", "--trials", "--betas"))
         assert not (tmp_path / "x").exists()
 
     def test_missing_channel_flag_exits_2(self, tmp_path):

@@ -264,3 +264,33 @@ class TestInvariants:
             )
             assert a.r1 == pytest.approx(b.r1, abs=1e-12)
             assert a.r2 == pytest.approx(b.r2, abs=1e-12)
+
+    def test_split_formula_keeps_the_single_expression_bitwise(self, sec6):
+        # user k's rate as one expression, the form before the phase-free
+        # terms were split from the phased finish
+        def one(hkk, hkj, noise, ck, kapk, phik, cj, kapj, phij):
+            gkk, gkj = abs(hkk) ** 2, abs(hkj) ** 2
+            cs = gkj * cj + noise
+            cy = gkk * ck + cs
+            pty = (hkk * hkk) * kapk * np.exp(1j * np.asarray(phik)) + (
+                hkj * hkj
+            ) * kapj * np.exp(1j * np.asarray(phij))
+            num = 1.0 - np.abs(pty) ** 2 / cy**2
+            den = 1.0 - (gkj * kapj) ** 2 / cs**2
+            return np.maximum(np.log1p(gkk * ck / cs) / LN2 + 0.5 * np.log2(num / den), 0.0)
+
+        LN2 = math.log(2.0)
+        h11, h12, h21, h22 = (complex(h) for h in (sec6.h11, sec6.h12, sec6.h21, sec6.h22))
+        c1, c2, k1, k2, p1, p2 = random_strategies(np.random.default_rng(12), 500)
+        for args in (
+            (c1, c2, k1, k2, p1, p2),
+            (c1, c2, k1, k2, 0.3, 0.0),  # scalar phases broadcast
+            (c1, 4.0, k1, 0.0, p1, 1.0),  # scalar power and impropriety
+            (2.0, 3.0, 1.5, 0.5, 0.7, 5.9),  # all scalar
+        ):
+            q1, q2, kk1, kk2, f1, f2 = args
+            r1, r2 = improper_rates(sec6, *args)
+            w1 = one(h11, h12, sec6.noise1, q1, kk1, f1, q2, kk2, f2)
+            w2 = one(h22, h21, sec6.noise2, q2, kk2, f2, q1, kk1, f1)
+            assert np.asarray(r1).tobytes() == np.asarray(w1).tobytes()
+            assert np.asarray(r2).tobytes() == np.asarray(w2).tobytes()

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from tinregions import (
+    ChannelRealization,
     PowerBudget,
     RateProfile,
     RegionConfig,
     SamplingConfig,
     enhance,
+    improper_rates,
     lemma1_check,
     proper_rates,
     pure_improper_samples,
@@ -16,12 +18,48 @@ from tinregions import (
     upper_right_hull,
 )
 from tinregions import regions
+from tinregions.model import TWO_PI
 from tinregions.regions import _profile_value, boundary_violation
 
 
 @pytest.fixture(scope="module")
 def small_cfg():
     return RegionConfig(sampling=SamplingConfig(power_grid=9, fraction_grid=5, phase_grid=8, random_count=2000))
+
+
+def per_phase_samples(ch, budget, sampling):
+    """The sampler written as one `improper_rates` call per phase
+    difference, stacked and concatenated: the reference the blocked,
+    preallocated sampler must reproduce bit for bit."""
+    c1 = np.linspace(0.0, budget.p1, sampling.power_grid)
+    c2 = np.linspace(0.0, budget.p2, sampling.power_grid)
+    frac = np.linspace(0.0, 1.0, sampling.fraction_grid)
+    psis = np.linspace(0.0, TWO_PI, sampling.phase_grid, endpoint=False)
+    C1, C2, F1, F2 = (a.ravel() for a in np.meshgrid(c1, c2, frac, frac, indexing="ij"))
+    K1 = F1 * C1
+    K2 = F2 * C2
+    chunks = []
+    for psi in psis:
+        r1, r2 = improper_rates(ch, C1, C2, K1, K2, psi, 0.0)
+        chunks.append(np.column_stack((r1, r2)))
+    if sampling.random_count > 0:
+        rng = np.random.default_rng(sampling.seed)
+        n = sampling.random_count
+        rc1 = rng.uniform(0.0, budget.p1, n)
+        rc2 = rng.uniform(0.0, budget.p2, n)
+        rk1 = rng.uniform(0.0, 1.0, n) * rc1
+        rk2 = rng.uniform(0.0, 1.0, n) * rc2
+        rpsi = rng.uniform(0.0, TWO_PI, n)
+        r1, r2 = improper_rates(ch, rc1, rc2, rk1, rk2, rpsi, 0.0)
+        chunks.append(np.column_stack((r1, r2)))
+    return np.concatenate(chunks, axis=0)
+
+
+SAMPLER_CHANNELS = {
+    "real": ChannelRealization(1.0, -0.6, 0.8, 1.3, 1.0, 1.0),
+    "zero-cross": ChannelRealization(1.0 + 1.0j, 0.0, 0.0, 0.5 - 1.0j, 1.0, 1.0),
+    "unequal-noise": ChannelRealization(0.9 - 0.3j, 0.7j, -0.4 + 0.5j, 1.1, 0.3, 2.5),
+}
 
 
 class TestPureProperPoint:
@@ -70,6 +108,28 @@ class TestPureImproperSamples:
         samples = pure_improper_samples(sec6, budget10, small_cfg.sampling)
         assert np.all(np.isfinite(samples))
         assert np.all(samples >= 0.0)
+
+    @pytest.mark.parametrize("random_count", [0, 333])
+    @pytest.mark.parametrize("channel", ["sec6", *SAMPLER_CHANNELS])
+    def test_bitwise_equal_to_per_phase_loop(self, sec6, channel, random_count):
+        ch = sec6 if channel == "sec6" else SAMPLER_CHANNELS[channel]
+        budget = PowerBudget(10.0, 6.5)
+        cfg = SamplingConfig(seed=3, power_grid=7, fraction_grid=4, phase_grid=5,
+                             random_count=random_count)
+        samples = pure_improper_samples(ch, budget, cfg)
+        assert samples.shape == (7 * 7 * 4 * 4 * 5 + random_count, 2)
+        assert samples.tobytes() == per_phase_samples(ch, budget, cfg).tobytes()
+
+    # 7 * 7 * 4 * 4 = 784 grid points: blocks of 3 leave a lone last row,
+    # blocks of 5 a partial last block, and 784 is a single block
+    @pytest.mark.parametrize("block", [3, 5, 784])
+    def test_grid_blocks_leave_samples_unchanged(self, sec6, block, monkeypatch):
+        cfg = SamplingConfig(seed=4, power_grid=7, fraction_grid=4, phase_grid=3,
+                             random_count=50)
+        monkeypatch.setattr(regions, "_BLOCK", block)
+        samples = pure_improper_samples(sec6, PowerBudget(3.0, 10.0), cfg)
+        want = per_phase_samples(sec6, PowerBudget(3.0, 10.0), cfg)
+        assert samples.tobytes() == want.tobytes()
 
 
 class TestUpperRightHull:
@@ -127,6 +187,68 @@ class TestUpperRightHull:
         assert {tuple(p) for p in kept} == {tuple(p) for p in pts[:5]}
 
 
+def unfiltered_hull(cloud, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(regions, "_drop_interior", lambda pts: pts)
+        return upper_right_hull(cloud)
+
+
+def one_block_kept(cloud, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(regions, "_BLOCK", len(cloud) + 1)
+        return regions._drop_interior(cloud)
+
+
+class TestBlockedHull:
+    """The prefilter's passes over blocks of 4 rows against a single
+    block and against the unfiltered hull."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(regions, "_BLOCK", 4)
+
+    def assert_blocks_change_nothing(self, cloud, monkeypatch):
+        kept = regions._drop_interior(cloud)
+        assert np.array_equal(kept, one_block_kept(cloud, monkeypatch))
+        assert np.array_equal(upper_right_hull(cloud), unfiltered_hull(cloud, monkeypatch))
+        return kept
+
+    def test_support_points_in_the_last_block(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        cloud = np.vstack([rng.uniform(0.0, 1.0, (37, 2)), [[3.0, 0.1], [2.0, 2.0], [0.1, 3.0]]])
+        kept = self.assert_blocks_change_nothing(cloud, monkeypatch)
+        assert {tuple(p) for p in cloud[-3:]} <= {tuple(p) for p in kept}
+
+    @pytest.mark.parametrize("q_first", [False, True])
+    def test_tied_support_points_in_different_blocks(self, q_first, monkeypatch):
+        # p and q tie at w = 1/2 (value 2 exactly); the earlier one joins the
+        # polyline, and z lies above the chord through q but below the one through p
+        p, q, z = [1.0, 3.0], [3.0, 1.0], [1.5, 2.47]
+        first, second = (q, p) if q_first else (p, q)
+        rng = np.random.default_rng(42)
+        filler = rng.uniform(0.0, 1.0, (14, 2))
+        cloud = np.vstack([filler[:1], [first], filler[1:7], [z, [0.0, 3.9]],
+                           filler[7:], [second, [3.9, 0.0]]])
+        kept = self.assert_blocks_change_nothing(cloud, monkeypatch)
+        assert (tuple(z) in {tuple(r) for r in kept}) == q_first
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 21, 22, 23, 400, 401])
+    def test_partial_last_block(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        angles = rng.uniform(0.0, 0.5 * np.pi, n)
+        radii = rng.uniform(0.9, 1.0, (n, 1))
+        cloud = np.column_stack((np.cos(angles), np.sin(angles))) * radii
+        self.assert_blocks_change_nothing(cloud, monkeypatch)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    @pytest.mark.parametrize("where", [(-1, 0), (-2, 1), (9, 0)])
+    def test_bad_value_in_a_late_block_raises(self, bad, where):
+        cloud = np.random.default_rng(43).uniform(0.0, 1.0, (11, 2))
+        cloud[where] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            upper_right_hull(cloud)
+
+
 class TestSweepBoundary:
     def test_ts_three_point_sweep(self, sec6, budget10):
         boundary = sweep_boundary("ts-proper", sec6, budget10, [0.0, 0.5, 1.0])
@@ -181,6 +303,11 @@ class TestTheorem1Check:
         assert report.passed
         assert report.failures == 0
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_rejects_fewer_than_one_trial(self, sec6, budget10, ts_boundary, trials):
+        with pytest.raises(ValueError, match="trials"):
+            theorem1_check(sec6, budget10, trials=trials, boundary=ts_boundary)
+
     def test_scaled_channel_rerun(self, sec6, budget10):
         from tinregions import ChannelRealization
 
@@ -202,6 +329,11 @@ class TestLemma1Check:
         assert report.max_bound_violation <= 1e-12
         assert report.max_alignment_gap <= 1e-9
         assert report.max_enhanced_mismatch <= 1e-12
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_fewer_than_one_trial(self, sec6, small_cfg, trials):
+        with pytest.raises(ValueError, match="trials"):
+            lemma1_check(sec6, small_cfg, trials=trials)
 
     def test_enhanced_channel_also_passes(self, sec6, small_cfg):
         report = lemma1_check(enhance(sec6), small_cfg, trials=5000)
