@@ -8,8 +8,7 @@ regions, and coded time-sharing where both rates and transmit powers
 are averaged across strategies.  The time-sharing boundary is obtained
 by a cutting-plane method on the dualized rate-balancing problem; its
 inner power allocation is maximized by enumerating the stationary
-points of the objective's gradient, with a certified branch-and-bound
-solver kept as the reference it is checked against.
+points of the objective's gradient.
 Verification harnesses check the bound/propriety properties the
 construction relies on, including that proper signaling attains the
 full time-sharing region.
@@ -32,18 +31,7 @@ from .model import (
     upper_bound_rates,
 )
 from .lp import LinearProgram, LpSolution, lp_solve
-from .inner import (
-    BnbConfig,
-    BnbResult,
-    Box,
-    DualPoint,
-    bnb_solve,
-    box_bounds,
-    branch,
-    init_box,
-    inner_objective,
-    stationary_solve,
-)
+from .inner import DualPoint, InnerResult, inner_objective, stationary_solve
 from .outer import (
     Cut,
     CuttingPlaneResult,

@@ -9,9 +9,10 @@ Three subcommands over a JSON channel file:
 * ``verify``  run the verification suites and report pass/fail.
 
 Exit codes: 0 success, 2 unusable input (including budgets and
-``--eps-cp`` values the library rejects, and ``--trials`` or ``--betas``
-below 1), 3 solver non-convergence
-(partial output is still written, flagged in the status column).
+``--eps-cp`` values the library rejects, ``--trials`` or ``--betas``
+below 1, and ``--betas`` below 2 for the theorem1 suite), 3 solver
+non-convergence (partial output is still written, flagged in the
+status column).
 """
 
 from __future__ import annotations
@@ -80,10 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _inputs(args) -> tuple[PowerBudget, RegionConfig]:
     """The budget and configuration the flags describe; ``ValueError``
-    names a flag value the library rejects, or a count below 1."""
+    names a flag value the library rejects, or a count below 1 (below 2
+    for the theorem1 boundary)."""
     for flag in ("trials", "betas"):
         if getattr(args, flag, 1) < 1:
             raise ValueError(f"--{flag} must be >= 1")
+    if getattr(args, "suite", None) in ("theorem1", "all") and args.betas < 2:
+        raise ValueError("--betas must be >= 2 for the theorem1 suite")
     budget = PowerBudget(args.p1, args.p2)
     cfg = RegionConfig(
         outer=OuterConfig(epsilon_cp=args.eps_cp),

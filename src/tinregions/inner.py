@@ -1,4 +1,4 @@
-"""Global solvers for the dualized power-allocation subproblem.
+"""Global maximizer of the dualized power-allocation subproblem.
 
 For rate weights ``mu`` and power prices ``lambda`` the objective
 
@@ -14,25 +14,13 @@ interior stationary point.  ``stationary_solve`` enumerates these
 candidates, polishes them by Newton steps and returns the best; the
 cutting-plane loop calls it.
 
-``bnb_solve`` is the reference oracle it is tested against: ``f`` splits
-into a part that is nondecreasing in the own-signal powers and a part
-that is nonincreasing in the interference/price powers, so axis-aligned
-boxes admit cheap upper and lower bounds, and branch and bound over
-such boxes returns a value certified to lie within ``epsilon`` of the
-global optimum.  Because the original power constraints are dualized
-there is no a priori bound on the powers; its initial box is derived
-from the interference-free envelope of ``f``, which is concave per user
-and eventually negative whenever the power prices are strictly
-positive.
-
 When a user with positive rate weight has a zero power price the
-objective is unbounded above; both solvers then search the box
-``[0, power_cap]^2`` and flag the result ``capped``.
+objective is unbounded above; the search is then over the box
+``[0, power_cap]^2`` and the result is flagged ``capped``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -48,14 +36,8 @@ LAMBDA_FLOOR = 1e-9
 
 __all__ = [
     "DualPoint",
-    "Box",
-    "BnbConfig",
-    "BnbResult",
+    "InnerResult",
     "inner_objective",
-    "box_bounds",
-    "branch",
-    "init_box",
-    "bnb_solve",
     "stationary_solve",
     "LAMBDA_FLOOR",
 ]
@@ -76,32 +58,9 @@ class DualPoint:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned rectangle [a, b] in power space."""
+class InnerResult:
+    """Maximizer and value found by :func:`stationary_solve`."""
 
-    a: tuple[float, float]
-    b: tuple[float, float]
-
-    def __post_init__(self):
-        if not (0.0 <= self.a[0] <= self.b[0] and 0.0 <= self.a[1] <= self.b[1]):
-            raise ValueError("box must satisfy 0 <= a <= b componentwise")
-
-
-@dataclass(frozen=True)
-class BnbConfig:
-    epsilon: float = 1e-6
-    max_iterations: int = 200_000
-    power_cap: float = 1e4
-
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
-        if self.max_iterations <= 0 or self.power_cap <= 0.0:
-            raise ValueError("max_iterations and power_cap must be > 0")
-
-
-@dataclass(frozen=True)
-class BnbResult:
     p: tuple[float, float]
     value: float
     gap: float
@@ -136,76 +95,12 @@ def _f(par, p1, p2):
     return val
 
 
-def _utopia(par, a1, a2, b1, b2):
-    # own-signal powers at the box top, interference and prices at the bottom
-    g11, g12, g21, g22, n1, n2, mu1, mu2, l1, l2 = par
-    val = -l1 * a1 - l2 * a2
-    if mu1 > 0.0:
-        val += mu1 * math.log1p(g11 * b1 / (n1 + g12 * a2)) / _LN2
-    if mu2 > 0.0:
-        val += mu2 * math.log1p(g22 * b2 / (n2 + g21 * a1)) / _LN2
-    return val
-
-
-def _term_max(g, n_eff, mu, lam, lo, hi):
-    """Max of mu*log2(1 + g*q/n_eff) - lam*q over q in [lo, hi] (concave)."""
-    if mu == 0.0:
-        return -lam * lo
-    if lam == 0.0:
-        q = hi
-    else:
-        q = mu / (lam * _LN2) - n_eff / g
-        q = lo if q < lo else (hi if q > hi else q)
-    return mu * math.log1p(g * q / n_eff) / _LN2 - lam * q
-
-
-def _tight_upper(par, a1, a2, b1, b2):
-    """Per-user concave maxima with interference frozen at the box bottom.
-
-    Valid upper bound on the objective over the box (interference at the
-    bottom only enlarges each user's term), never looser than the plain
-    utopia bound, and exact in the own-power coordinates.
-    """
-    g11, g12, g21, g22, n1, n2, mu1, mu2, l1, l2 = par
-    return _term_max(g11, n1 + g12 * a2, mu1, l1, a1, b1) + _term_max(
-        g22, n2 + g21 * a1, mu2, l2, a2, b2
-    )
-
-
 def inner_objective(ch: ChannelRealization, dual: DualPoint, p) -> float:
     """Weighted proper-signaling rates minus the power bill at ``p``."""
     p1, p2 = float(p[0]), float(p[1])
     if p1 < 0.0 or p2 < 0.0:
         raise ValueError("powers must be >= 0")
     return _f(_params(ch, dual), p1, p2)
-
-
-def box_bounds(ch: ChannelRealization, dual: DualPoint, box: Box) -> tuple[float, float]:
-    """Upper and achievable lower bound (U, A) of the objective on a box.
-
-    ``U`` evaluates the nondecreasing arguments at the box top and the
-    nonincreasing ones at the bottom; ``A`` is the value at the bottom
-    corner.  ``U >= max f >= A`` on the box, with both tight for
-    singleton boxes.
-    """
-    par = _params(ch, dual)
-    a1, a2 = box.a
-    b1, b2 = box.b
-    return _utopia(par, a1, a2, b1, b2), _f(par, a1, a2)
-
-
-def branch(box: Box) -> tuple[Box, Box]:
-    """Split a box at the midpoint of its longest edge (ties: first edge)."""
-    a1, a2 = box.a
-    b1, b2 = box.b
-    w1, w2 = b1 - a1, b2 - a2
-    if w1 <= 0.0 and w2 <= 0.0:
-        raise ValueError("cannot branch a degenerate box")
-    if w1 >= w2:
-        m = 0.5 * (a1 + b1)
-        return Box((a1, a2), (m, b2)), Box((m, a2), (b1, b2))
-    m = 0.5 * (a2 + b2)
-    return Box((a1, a2), (b1, m)), Box((a1, m), (b1, b2))
 
 
 def _single_user_max(g, n, mu, lam):
@@ -215,130 +110,6 @@ def _single_user_max(g, n, mu, lam):
     p_hat = max(0.0, mu / (lam * _LN2) - n / g)
     val = mu * math.log1p(g * p_hat / n) / _LN2 - lam * p_hat
     return p_hat, val
-
-
-def _descending_root(fun, lo, hi, rel_tol=1e-9):
-    """Root of a function that is >= 0 at ``lo`` and decreasing beyond it."""
-    for _ in range(400):
-        if fun(hi) <= 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise RuntimeError("no sign change found while bracketing the root")
-    while hi - lo > rel_tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if fun(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def init_box(
-    ch: ChannelRealization, dual: DualPoint, cfg: BnbConfig = BnbConfig()
-) -> tuple[Box, bool]:
-    """Box certified to contain the maximizer of the inner objective.
-
-    Per user the interference-free envelope ``fhat_k`` is concave with a
-    closed-form peak; beyond the root of ``fhat_k(p) + max fhat_j = 0``
-    the whole objective is nonpositive, so the maximizer lies in
-    ``[0, p0]``.  When some user has ``mu_k > 0`` but an effectively
-    zero power price the objective is unbounded above; the returned box
-    is then ``[0, power_cap]^2`` and the second element is True.
-    """
-    g11, g12, g21, g22 = ch.gains
-    users = (
-        (g11, ch.noise1, dual.mu1, dual.lambda1),
-        (g22, ch.noise2, dual.mu2, dual.lambda2),
-    )
-    for _, _, mu, lam in users:
-        if mu > 0.0 and lam <= LAMBDA_FLOOR:
-            cap = cfg.power_cap
-            return Box((0.0, 0.0), (cap, cap)), True
-
-    peaks = [_single_user_max(g, n, mu, lam) for g, n, mu, lam in users]
-    p0 = []
-    for k in range(2):
-        g, n, mu, lam = users[k]
-        fmax_other = peaks[1 - k][1]
-        if mu > 0.0:
-            p_hat = peaks[k][0]
-
-            def decay(p, g=g, n=n, mu=mu, lam=lam, off=fmax_other):
-                return mu * math.log1p(g * p / n) / _LN2 - lam * p + off
-
-            p0.append(_descending_root(decay, p_hat, 2.0 * p_hat + 1.0))
-        elif lam > 0.0:
-            p0.append(fmax_other / lam)
-        else:
-            # no rate weight and no price: raising p_k only adds interference
-            p0.append(0.0)
-    return Box((0.0, 0.0), (p0[0], p0[1])), False
-
-
-def bnb_solve(
-    ch: ChannelRealization, dual: DualPoint, cfg: BnbConfig = BnbConfig()
-) -> BnbResult:
-    """Maximize the inner objective to within ``cfg.epsilon``, certified.
-
-    Keeps a max-priority set of live boxes ordered by upper bound (ties
-    broken by insertion order), splitting the top box until the spread
-    between the best upper bound and the best achieved value is at most
-    ``epsilon``.  The internal upper bound sharpens the plain utopia
-    bound by maximizing each user's concave own-power term in closed
-    form, which cuts the box count by orders of magnitude while
-    certifying the same guarantee.  If the iteration budget runs out
-    first, the incumbent is returned with its larger certified gap and
-    ``converged=False``.
-    """
-    box0, capped = init_box(ch, dual, cfg)
-    par = _params(ch, dual)
-    a1, a2 = box0.a
-    b1, b2 = box0.b
-    best_val = _f(par, a1, a2)
-    best_p = (a1, a2)
-    heap = [(-_tight_upper(par, a1, a2, b1, b2), 0, a1, a2, b1, b2)]
-    counter = 1
-    iterations = 0
-    gap = -heap[0][0] - best_val
-    converged = gap <= cfg.epsilon
-    while not converged and iterations < cfg.max_iterations:
-        iterations += 1
-        _, _, a1, a2, b1, b2 = heapq.heappop(heap)
-        w1, w2 = b1 - a1, b2 - a2
-        if w1 >= w2:
-            m = 0.5 * (a1 + b1)
-            children = ((a1, a2, m, b2), (m, a2, b1, b2)) if a1 < m < b1 else ()
-        else:
-            m = 0.5 * (a2 + b2)
-            children = ((a1, a2, b1, m), (a1, m, b1, b2)) if a2 < m < b2 else ()
-        # an unsplittable box is at float resolution: its bound is tight,
-        # so dropping it cannot hide a better point
-        for ca1, ca2, cb1, cb2 in children:
-            val = _f(par, ca1, ca2)
-            if val > best_val:
-                best_val = val
-                best_p = (ca1, ca2)
-            heapq.heappush(
-                heap,
-                (-_tight_upper(par, ca1, ca2, cb1, cb2), counter, ca1, ca2, cb1, cb2),
-            )
-            counter += 1
-        if not heap:
-            gap = 0.0
-            converged = True
-            break
-        gap = -heap[0][0] - best_val
-        converged = gap <= cfg.epsilon
-    return BnbResult(
-        p=best_p,
-        value=best_val,
-        gap=max(gap, 0.0),
-        iterations=iterations,
-        converged=converged,
-        capped=capped,
-    )
 
 
 # ------------------------------------------------- stationary-point oracle
@@ -519,8 +290,8 @@ def _newton_polish(par, p1, p2, hi, free):
 
 
 def stationary_solve(
-    ch: ChannelRealization, dual: DualPoint, cfg: BnbConfig = BnbConfig()
-) -> BnbResult:
+    ch: ChannelRealization, dual: DualPoint, power_cap: float = 1e4
+) -> InnerResult:
     """Global maximum of the inner objective by enumerating its candidates.
 
     The maximum over p >= 0 is attained at the origin, at one of the two
@@ -550,16 +321,17 @@ def stationary_solve(
     bounds the value lost: a user whose weighted rate spans less than
     1e-9 of the total is treated as weightless (``gap`` is that span),
     and capped prices up to ``LAMBDA_FLOOR`` are treated as zero
-    (``gap`` is their bill at ``power_cap`` on both powers).  Of ``cfg``
-    only ``power_cap`` is read.
+    (``gap`` is their bill at ``power_cap`` on both powers).
     """
+    if not power_cap > 0.0:
+        raise ValueError("power_cap must be > 0")
     par = _params(ch, dual)
     g11, g12, g21, g22, n1, n2, mu1, mu2, l1, l2 = par
     a = (mu1 / _LN2, mu2 / _LN2)
     capped = (mu1 > 0.0 and l1 <= LAMBDA_FLOOR) or (mu2 > 0.0 and l2 <= LAMBDA_FLOOR)
     cands: list[tuple[float, float]] = [(0.0, 0.0)]
     if capped:
-        cap = cfg.power_cap
+        cap = power_cap
         scale = hi = (cap, cap)
         cands += [(cap, 0.0), (0.0, cap), (cap, cap)]
         # without prices the objective rises along every ray from the
@@ -611,7 +383,7 @@ def stationary_solve(
         val = _f(par, *p)
         if val > best_val:
             best_p, best_val = p, val
-    return BnbResult(
+    return InnerResult(
         p=best_p,
         value=best_val,
         gap=min(span) if inside and weightless else price_gap,

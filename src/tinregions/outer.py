@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inner import BnbConfig, DualPoint
+from .inner import DualPoint
 from .inner import stationary_solve as bnb_solve  # callers wrap outer.bnb_solve to trace it
 from .lp import EQUAL, GREATER, LESS, LinearProgram, lp_solve
 from .model import ChannelRealization, PowerBudget, RatePair, RateProfile, rate_pair_proper
@@ -45,6 +45,8 @@ MAX_ACTIVE_STRATEGIES = 4
 #: price that small as a real one, builds a degenerate resultant and
 #: raises.
 DUAL_SNAP_TOL = 1e-12
+#: Iterations after which the loop stops with status "max-cuts".
+MAX_CUTS = 200
 
 __all__ = [
     "Cut",
@@ -90,13 +92,10 @@ class TimeSharingSolution:
 @dataclass(frozen=True)
 class OuterConfig:
     epsilon_cp: float = 1e-4
-    max_cuts: int = 200
 
     def __post_init__(self):
         if not 0.0 < self.epsilon_cp < math.inf:
             raise ValueError("epsilon_cp must be finite and > 0")
-        if self.max_cuts < 1:
-            raise ValueError("max_cuts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,7 @@ def cutting_plane(
     if (budget.p1 <= 0.0 and rho1 > 0.0) or (budget.p2 <= 0.0 and rho2 > 0.0):
         raise ValueError("budget must be positive for every user with positive weight")
 
-    inner_cfg = BnbConfig(power_cap=1e3 * max(budget.p1, budget.p2))
+    power_cap = 1e3 * max(budget.p1, budget.p2)
     p_init = (0.5 * budget.p1, 0.5 * budget.p2)
     cuts: list[Cut] = [Cut(p_init, rate_pair_proper(ch, p_init), "initial")]
     for cut in initial_cuts or ():
@@ -244,7 +243,7 @@ def cutting_plane(
     lower = -math.inf
     status = "max-cuts"
     basis = None
-    for _ in range(cfg.max_cuts):
+    for _ in range(MAX_CUTS):
         # the previous basis stays feasible: a new cut only appends a column
         sol = lp_solve(master_lp(cuts, budget, profile), start=basis)
         if sol.status != "optimal":
@@ -252,7 +251,7 @@ def cutting_plane(
         basis = sol.basis
         lower = float(sol.objective)
         dual = _master_dual(sol.dual)
-        res = bnb_solve(ch, dual, inner_cfg)
+        res = bnb_solve(ch, dual, power_cap)
         if not res.converged:
             raise RuntimeError(
                 f"inner solver did not converge (gap {res.gap:.3e})"

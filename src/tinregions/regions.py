@@ -90,7 +90,6 @@ class SamplingConfig:
 class RegionConfig:
     outer: OuterConfig = field(default_factory=OuterConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    proper_grid: int = 201
 
 
 @dataclass(frozen=True)
@@ -470,7 +469,7 @@ def sweep_boundary(
     entries: list[BoundaryEntry] = []
     if method == "pure-proper":
         for beta in betas:
-            R, p = pure_proper_point(ch, budget, RateProfile(beta), grid=cfg.proper_grid)
+            R, p = pure_proper_point(ch, budget, RateProfile(beta))
             entries.append(BoundaryEntry(beta, rate_pair_proper(ch, p), R, method))
     elif method == "ts-proper":
         for beta, solution, cp in ts_sweep(ch, budget, betas, cfg):
@@ -522,10 +521,13 @@ def theorem1_check(
     a random profile by LP, and measures how far the averaged rate pair
     lands outside the interpolated proper time-sharing boundary.  Any
     violation beyond the tolerance would disprove the propriety claim;
-    the report counts them.  ``ValueError`` if ``trials < 1``.
+    the report counts them.  ``ValueError`` if ``trials < 1``, or if
+    ``beta_grid < 2``: a single profile cannot describe a boundary.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if beta_grid < 2:
+        raise ValueError("beta_grid must be >= 2")
     if boundary is None:
         boundary = sweep_boundary(
             "ts-proper", ch, budget, np.linspace(0.0, 1.0, beta_grid), cfg

@@ -38,6 +38,9 @@ BAD_COUNTS = {
         ["--suite", "lemma1", "--trials", "0"],
         ["--suite", "duality", "--betas", "0"],
         ["--suite", "nesting", "--betas", "-1"],
+        # one profile cannot describe the boundary that theorem1 checks
+        ["--suite", "theorem1", "--betas", "1"],
+        ["--suite", "all", "--betas", "1"],
     ],
 }
 

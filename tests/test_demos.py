@@ -1,0 +1,12 @@
+"""Smoke test for the demo scripts that run in a few seconds."""
+
+import runpy
+from pathlib import Path
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def test_certified_inner_solver_runs(capsys):
+    runpy.run_path(str(DEMOS / "certified_inner_solver.py"), run_name="demo")["main"]()
+    out = capsys.readouterr().out
+    assert "stationary oracle" in out and "Lipschitz bound" in out

@@ -1,25 +1,187 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
 from tinregions import (
-    BnbConfig,
-    Box,
     ChannelRealization,
     DualPoint,
-    bnb_solve,
-    box_bounds,
-    branch,
-    init_box,
+    InnerResult,
     inner_objective,
     proper_rates,
     stationary_solve,
     ts_sweep,
 )
 from tinregions import inner, outer
+from tinregions.inner import LAMBDA_FLOOR, _f, _params, _single_user_max
 
 LN2 = math.log(2.0)
+
+
+# ---------------------------------------------- branch-and-bound reference
+#
+# Certified monotonic branch and bound: the reference the stationary-point
+# oracle is gated against.  The objective splits into a part that is
+# nondecreasing in the own-signal powers and a part that is nonincreasing
+# in the interference and price powers, so axis-aligned boxes admit cheap
+# upper and lower bounds, and refining the box with the best upper bound
+# certifies a value within ``epsilon`` of the global maximum.  The initial
+# box comes from the interference-free envelope of the objective, which is
+# concave per user and eventually negative when both prices are positive.
+
+
+def _term_max(g, n_eff, mu, lam, lo, hi):
+    """Max of mu*log2(1 + g*q/n_eff) - lam*q over q in [lo, hi] (concave)."""
+    if mu == 0.0:
+        return -lam * lo
+    if lam == 0.0:
+        q = hi
+    else:
+        q = mu / (lam * LN2) - n_eff / g
+        q = lo if q < lo else (hi if q > hi else q)
+    return mu * math.log1p(g * q / n_eff) / LN2 - lam * q
+
+
+def _tight_upper(par, a1, a2, b1, b2):
+    """Per-user concave maxima with interference frozen at the box bottom.
+
+    Valid upper bound on the objective over the box (interference at the
+    bottom only enlarges each user's term), never looser than the plain
+    utopia bound, and exact in the own-power coordinates.
+    """
+    g11, g12, g21, g22, n1, n2, mu1, mu2, l1, l2 = par
+    return _term_max(g11, n1 + g12 * a2, mu1, l1, a1, b1) + _term_max(
+        g22, n2 + g21 * a1, mu2, l2, a2, b2
+    )
+
+
+def _descending_root(fun, lo, hi, rel_tol=1e-9):
+    """Root of a function that is >= 0 at ``lo`` and decreasing beyond it."""
+    for _ in range(400):
+        if fun(hi) <= 0.0:
+            break
+        lo = hi
+        hi *= 2.0
+    else:
+        raise RuntimeError("no sign change found while bracketing the root")
+    while hi - lo > rel_tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if fun(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def init_box(ch, dual, power_cap=1e4):
+    """Upper corner of a box [0, corner] certified to contain the
+    maximizer of the inner objective, and whether it is capped.
+
+    Per user the interference-free envelope ``fhat_k`` is concave with a
+    closed-form peak; beyond the root of ``fhat_k(p) + max fhat_j = 0``
+    the whole objective is nonpositive, so the maximizer lies in
+    ``[0, p0]``.  When some user has ``mu_k > 0`` but an effectively
+    zero power price the objective is unbounded above; the corner is
+    then ``(power_cap, power_cap)`` and the second element is True.
+    """
+    g11, g12, g21, g22 = ch.gains
+    users = (
+        (g11, ch.noise1, dual.mu1, dual.lambda1),
+        (g22, ch.noise2, dual.mu2, dual.lambda2),
+    )
+    for _, _, mu, lam in users:
+        if mu > 0.0 and lam <= LAMBDA_FLOOR:
+            return (power_cap, power_cap), True
+
+    peaks = [_single_user_max(g, n, mu, lam) for g, n, mu, lam in users]
+    p0 = []
+    for k in range(2):
+        g, n, mu, lam = users[k]
+        fmax_other = peaks[1 - k][1]
+        if mu > 0.0:
+            p_hat = peaks[k][0]
+
+            def decay(p, g=g, n=n, mu=mu, lam=lam, off=fmax_other):
+                return mu * math.log1p(g * p / n) / LN2 - lam * p + off
+
+            p0.append(_descending_root(decay, p_hat, 2.0 * p_hat + 1.0))
+        elif lam > 0.0:
+            p0.append(fmax_other / lam)
+        else:
+            # no rate weight and no price: raising p_k only adds interference
+            p0.append(0.0)
+    return (p0[0], p0[1]), False
+
+
+def bnb_solve(ch, dual, power_cap=1e4, epsilon=1e-6, max_iterations=200_000):
+    """Maximize the inner objective to within ``epsilon``, certified.
+
+    Keeps a max-priority set of live boxes ordered by upper bound (ties
+    broken by insertion order), splitting the top box until the spread
+    between the best upper bound and the best achieved value is at most
+    ``epsilon``.  The internal upper bound sharpens the plain utopia
+    bound by maximizing each user's concave own-power term in closed
+    form, which cuts the box count by orders of magnitude while
+    certifying the same guarantee.  If the iteration budget runs out
+    first, the incumbent is returned with its larger certified gap and
+    ``converged=False``.
+    """
+    (b1, b2), capped = init_box(ch, dual, power_cap)
+    par = _params(ch, dual)
+    a1, a2 = 0.0, 0.0
+    best_val = _f(par, a1, a2)
+    best_p = (a1, a2)
+    heap = [(-_tight_upper(par, a1, a2, b1, b2), 0, a1, a2, b1, b2)]
+    counter = 1
+    iterations = 0
+    gap = -heap[0][0] - best_val
+    converged = gap <= epsilon
+    while not converged and iterations < max_iterations:
+        iterations += 1
+        _, _, a1, a2, b1, b2 = heapq.heappop(heap)
+        w1, w2 = b1 - a1, b2 - a2
+        if w1 >= w2:
+            m = 0.5 * (a1 + b1)
+            children = ((a1, a2, m, b2), (m, a2, b1, b2)) if a1 < m < b1 else ()
+        else:
+            m = 0.5 * (a2 + b2)
+            children = ((a1, a2, b1, m), (a1, m, b1, b2)) if a2 < m < b2 else ()
+        # an unsplittable box is at float resolution: its bound is tight,
+        # so dropping it cannot hide a better point
+        for ca1, ca2, cb1, cb2 in children:
+            val = _f(par, ca1, ca2)
+            if val > best_val:
+                best_val = val
+                best_p = (ca1, ca2)
+            heapq.heappush(
+                heap,
+                (-_tight_upper(par, ca1, ca2, cb1, cb2), counter, ca1, ca2, cb1, cb2),
+            )
+            counter += 1
+        if not heap:
+            gap = 0.0
+            converged = True
+            break
+        gap = -heap[0][0] - best_val
+        converged = gap <= epsilon
+    return InnerResult(
+        p=best_p,
+        value=best_val,
+        gap=max(gap, 0.0),
+        iterations=iterations,
+        converged=converged,
+        capped=capped,
+    )
+
+
+def box_bounds(ch, dual, a, b):
+    """The reference's upper bound and achieved value on the box [a, b]."""
+    par = _params(ch, dual)
+    return _tight_upper(par, a[0], a[1], b[0], b[1]), _f(par, a[0], a[1])
+
+
+# -------------------------------------------------------------------------
 
 
 def single_user_oracle(ch, lam):
@@ -30,9 +192,9 @@ def single_user_oracle(ch, lam):
     return p, f
 
 
-def grid_max(ch, dual, box, step):
-    p1 = np.arange(0.0, box.b[0] + step, step)
-    p2 = np.arange(0.0, box.b[1] + step, step)
+def grid_max(ch, dual, corner, step):
+    p1 = np.arange(0.0, corner[0] + step, step)
+    p2 = np.arange(0.0, corner[1] + step, step)
     r1, r2 = proper_rates(ch, p1[:, None], p2[None, :])
     f = (
         dual.mu1 * r1
@@ -74,20 +236,22 @@ class TestInnerObjective:
 
 
 class TestBoxBounds:
+    """The reference's box bounds: an upper bound on the objective over
+    the box and the achieved value at its bottom corner."""
+
     def test_singleton_is_tight(self, sec6):
         dual = DualPoint(1.0, 1.0, 0.1, 0.2)
         for p in ((0.0, 0.0), (3.0, 7.0), (20.0, 1.0)):
-            u, a = box_bounds(sec6, dual, Box(p, p))
+            u, a = box_bounds(sec6, dual, p, p)
             f = inner_objective(sec6, dual, p)
             assert u == pytest.approx(f, abs=1e-12)
             assert a == pytest.approx(f, abs=1e-12)
 
     def test_bounds_sandwich_random_points(self, sec6):
         rng = np.random.default_rng(2)
-        box = Box((0.0, 0.0), (10.0, 10.0))
         for _ in range(10):
             dual = DualPoint(*rng.uniform(0.0, 1.5, 4))
-            u, a = box_bounds(sec6, dual, box)
+            u, a = box_bounds(sec6, dual, (0.0, 0.0), (10.0, 10.0))
             assert a <= u + 1e-12
             for _ in range(100):
                 p = rng.uniform(0.0, 10.0, 2)
@@ -99,56 +263,33 @@ class TestBoxBounds:
         gaps = []
         for k in range(12):
             h = 2.0 ** (-k)
-            box = Box(tuple(center - h), tuple(center + h))
-            u, a = box_bounds(sec6, dual, box)
+            u, a = box_bounds(sec6, dual, tuple(center - h), tuple(center + h))
             gaps.append(u - a)
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-3
 
 
-class TestBranch:
-    def test_splits_longest_edge(self):
-        b1, b2 = branch(Box((0.0, 0.0), (4.0, 2.0)))
-        assert b1 == Box((0.0, 0.0), (2.0, 2.0))
-        assert b2 == Box((2.0, 0.0), (4.0, 2.0))
-
-    def test_tie_breaks_on_first_dimension(self):
-        b1, b2 = branch(Box((0.0, 0.0), (2.0, 2.0)))
-        assert b1 == Box((0.0, 0.0), (1.0, 2.0))
-        assert b2 == Box((1.0, 0.0), (2.0, 2.0))
-
-    def test_degenerate_first_dimension(self):
-        b1, b2 = branch(Box((1.0, 1.0), (1.0, 3.0)))
-        assert b1 == Box((1.0, 1.0), (1.0, 2.0))
-        assert b2 == Box((1.0, 2.0), (1.0, 3.0))
-
-    def test_point_box_rejected(self):
-        with pytest.raises(ValueError):
-            branch(Box((1.0, 2.0), (1.0, 2.0)))
-
-
 class TestInitBox:
     def test_zero_weights_collapse_to_origin(self, sec6):
-        box, capped = init_box(sec6, DualPoint(0.0, 0.0, 1.0, 1.0))
+        corner, capped = init_box(sec6, DualPoint(0.0, 0.0, 1.0, 1.0))
         assert not capped
-        assert box.b == (0.0, 0.0)
+        assert corner == (0.0, 0.0)
 
     def test_root_condition_holds(self, sec6):
         dual = DualPoint(1.0, 0.0, 0.1, 0.1)
-        box, capped = init_box(sec6, dual)
+        corner, capped = init_box(sec6, dual)
         assert not capped
         g = abs(sec6.h11) ** 2
-        p01 = box.b[0]
+        p01 = corner[0]
         fhat = math.log2(1.0 + g * p01 / sec6.noise1) - 0.1 * p01
         # other user's envelope peaks at zero, so the root equation is
         # fhat_1(p01) = 0
         assert fhat == pytest.approx(0.0, abs=1e-6)
 
     def test_missing_price_engages_cap(self, sec6):
-        cfg = BnbConfig(power_cap=123.0)
-        box, capped = init_box(sec6, DualPoint(1.0, 0.0, 0.0, 0.1), cfg)
+        corner, capped = init_box(sec6, DualPoint(1.0, 0.0, 0.0, 0.1), power_cap=123.0)
         assert capped
-        assert box.b == (123.0, 123.0)
+        assert corner == (123.0, 123.0)
 
     def test_grid_maximizer_inside_box(self, sec6):
         rng = np.random.default_rng(12)
@@ -159,9 +300,9 @@ class TestInitBox:
                 rng.uniform(0.05, 1.0),
                 rng.uniform(0.05, 1.0),
             )
-            box, capped = init_box(sec6, dual)
+            corner, capped = init_box(sec6, dual)
             assert not capped
-            hi = (box.b[0] * 1.5 + 1.0, box.b[1] * 1.5 + 1.0)
+            hi = (corner[0] * 1.5 + 1.0, corner[1] * 1.5 + 1.0)
             p1 = np.linspace(0.0, hi[0], 160)
             p2 = np.linspace(0.0, hi[1], 160)
             r1, r2 = proper_rates(sec6, p1[:, None], p2[None, :])
@@ -173,8 +314,8 @@ class TestInitBox:
             )
             i, j = np.unravel_index(np.argmax(f), f.shape)
             step = (hi[0] / 159, hi[1] / 159)
-            assert p1[i] <= box.b[0] + step[0] + 1e-9
-            assert p2[j] <= box.b[1] + step[1] + 1e-9
+            assert p1[i] <= corner[0] + step[0] + 1e-9
+            assert p2[j] <= corner[1] + step[1] + 1e-9
 
 
 class TestBnbSolve:
@@ -195,8 +336,7 @@ class TestBnbSolve:
         assert res.converged
 
     def test_capped_dual_maxes_out_power(self, sec6):
-        cfg = BnbConfig(power_cap=1000.0)
-        res = bnb_solve(sec6, DualPoint(1.0, 0.0, 0.0, 0.1), cfg)
+        res = bnb_solve(sec6, DualPoint(1.0, 0.0, 0.0, 0.1), power_cap=1000.0)
         assert res.capped
         assert res.p[0] == pytest.approx(1000.0, rel=1e-4)
 
@@ -210,9 +350,9 @@ class TestBnbSolve:
                 rng.uniform(0.05, 1.0),
                 rng.uniform(0.05, 1.0),
             )
-            box, _ = init_box(sec6, dual)
+            corner, _ = init_box(sec6, dual)
             step = 0.05
-            best_grid = grid_max(sec6, dual, box, step)
+            best_grid = grid_max(sec6, dual, corner, step)
             res = bnb_solve(sec6, dual)
             assert res.converged and res.gap <= eps
             g11, g12, g21, g22 = sec6.gains
@@ -225,8 +365,7 @@ class TestBnbSolve:
             assert abs(res.value - best_grid) <= eps + lip * step
 
     def test_budget_exhaustion_flagged(self, sec6):
-        cfg = BnbConfig(epsilon=1e-12, max_iterations=5)
-        res = bnb_solve(sec6, DualPoint(1.0, 1.0, 0.1, 0.1), cfg)
+        res = bnb_solve(sec6, DualPoint(1.0, 1.0, 0.1, 0.1), epsilon=1e-12, max_iterations=5)
         assert not res.converged
         assert res.iterations == 5
         assert res.gap > 1e-12
@@ -245,15 +384,19 @@ class TestBoundFamilyInvariants:
             dual = DualPoint(*rng.uniform(0.0, 2.0, 4))
             a = rng.uniform(0.0, 5.0, 2)
             b = a + rng.uniform(0.1, 10.0, 2)
-            parent = Box(tuple(a), tuple(b))
-            u, low = box_bounds(sec6, dual, parent)
-            for child in branch(parent):
-                cu, ca = box_bounds(sec6, dual, child)
+            u, low = box_bounds(sec6, dual, a, b)
+            # the reference's split: the longest edge at its midpoint
+            k = 0 if b[0] - a[0] >= b[1] - a[1] else 1
+            mid_hi, mid_lo = b.copy(), a.copy()
+            mid_hi[k] = mid_lo[k] = 0.5 * (a[k] + b[k])
+            children = ((a, mid_hi), (mid_lo, b))
+            for lo, hi in children:
+                cu, ca = box_bounds(sec6, dual, lo, hi)
                 assert cu <= u + 1e-12
                 assert ca <= cu + 1e-12
             # the lower child keeps the parent's bottom corner, so the
             # best achieved value over children never drops
-            ca1 = box_bounds(sec6, dual, branch(parent)[0])[1]
+            ca1 = box_bounds(sec6, dual, *children[0])[1]
             assert ca1 == pytest.approx(low, abs=1e-12)
 
     def test_objective_below_interference_free_envelope(self, sec6):
@@ -298,13 +441,13 @@ def lipschitz(ch, dual):
 
 
 def sweep_duals(ch, budget, count, seed):
-    """A seeded subset of the duals (with inner configs) that the
+    """A seeded subset of the duals (with power caps) that the
     101-profile ts-proper sweep hands to the inner oracle."""
     seen = []
 
-    def record(ch, dual, cfg):
-        seen.append((dual, cfg))
-        return stationary_solve(ch, dual, cfg)
+    def record(ch, dual, power_cap):
+        seen.append((dual, power_cap))
+        return stationary_solve(ch, dual, power_cap)
 
     original = outer.bnb_solve
     outer.bnb_solve = record
@@ -316,10 +459,10 @@ def sweep_duals(ch, budget, count, seed):
     return [seen[i] for i in sorted(rng.choice(len(seen), count, replace=False))]
 
 
-def assert_matches_bnb(ch, dual, cfg=BnbConfig()):
-    ref = bnb_solve(ch, dual, cfg)
+def assert_matches_bnb(ch, dual, power_cap=1e4):
+    ref = bnb_solve(ch, dual, power_cap)
     assert ref.converged
-    res = stationary_solve(ch, dual, cfg)
+    res = stationary_solve(ch, dual, power_cap)
     assert res.capped == ref.capped
     # never below the incumbent by more than its own gap, never above the
     # certified bound (both up to rounding)
@@ -380,8 +523,7 @@ class TestStationarySolve:
             assert abs(slope) <= 1e-6
 
     def test_capped_dual_maxes_out_power(self, sec6):
-        cfg = BnbConfig(power_cap=1000.0)
-        res = stationary_solve(sec6, DualPoint(1.0, 0.0, 0.0, 0.1), cfg)
+        res = stationary_solve(sec6, DualPoint(1.0, 0.0, 0.0, 0.1), 1000.0)
         assert res.capped
         assert res.p == (1000.0, 0.0)
 
@@ -393,17 +535,16 @@ class TestStationarySolve:
         # a weight of 1e-15 cannot move the objective by more than its
         # rate range, which the result reports as its gap
         dual = DualPoint(1.4, 1.6e-15, 0.54, 0.0)
-        cfg = BnbConfig(power_cap=1e4)
-        res = stationary_solve(sec6, dual, cfg)
+        res = stationary_solve(sec6, dual, 1e4)
         assert res.capped and 0.0 < res.gap <= 1e-13
-        assert_matches_bnb(sec6, dual, cfg)
+        assert_matches_bnb(sec6, dual, 1e4)
 
     @pytest.mark.parametrize("prices", [(5e-10, 1e-9), (0.0, 1e-9), (1e-9, 1e-9)])
     def test_floor_prices_are_bounded_by_gap(self, sec6, prices):
         # capped prices up to LAMBDA_FLOOR are treated as zero; their bill
         # at the power cap is the gap, which covers the certified value
         cap = 1e4
-        res = assert_matches_bnb(sec6, DualPoint(1.0, 1.0, *prices), BnbConfig(power_cap=cap))
+        res = assert_matches_bnb(sec6, DualPoint(1.0, 1.0, *prices), cap)
         assert res.capped
         assert res.gap == sum(prices) * cap > 0.0
 
@@ -445,17 +586,17 @@ class TestOracleGate:
             assert_matches_bnb(sec6, dual)
 
     def test_capped_dual(self, sec6):
-        assert_matches_bnb(sec6, DualPoint(1.0, 0.0, 0.0, 0.1), BnbConfig(power_cap=1e4))
+        assert_matches_bnb(sec6, DualPoint(1.0, 0.0, 0.0, 0.1), 1e4)
 
     def test_unpriced_capped_dual_at_high_snr(self):
         # nearly scale-free: the two gradient numerators are almost
         # dependent, so the oracle must not eliminate between them
         ch = ChannelRealization(*np.sqrt([98.46, 100.04, 99.12, 98.75]), 1.0, 1.0)
-        assert_matches_bnb(ch, DualPoint(1.916, 0.09997, 0.0, 0.0), BnbConfig(power_cap=1e4))
+        assert_matches_bnb(ch, DualPoint(1.916, 0.09997, 0.0, 0.0), 1e4)
 
     def test_sweep_duals(self, sec6, budget10):
-        for dual, cfg in sweep_duals(sec6, budget10, 60, seed=5):
-            assert_matches_bnb(sec6, dual, cfg)
+        for dual, power_cap in sweep_duals(sec6, budget10, 60, seed=5):
+            assert_matches_bnb(sec6, dual, power_cap)
 
     @pytest.mark.parametrize(
         "channel",

@@ -322,10 +322,10 @@ class TestBoundTrajectories:
         assert all(u >= l - 1e-9 for l, u in zip(lows, ups))
 
     def test_inner_budget_exhaustion_propagates(self, sec6, budget10, monkeypatch):
-        from tinregions import BnbResult, outer
+        from tinregions import InnerResult, outer
 
-        def unconverged(ch, dual, cfg):
-            return BnbResult((1.0, 1.0), 0.0, 0.5, 2, converged=False, capped=False)
+        def unconverged(ch, dual, power_cap):
+            return InnerResult((1.0, 1.0), 0.0, 0.5, 2, converged=False, capped=False)
 
         monkeypatch.setattr(outer, "bnb_solve", unconverged)
         with pytest.raises(RuntimeError, match="did not converge"):
@@ -341,14 +341,15 @@ class TestBoundTrajectories:
 
         bounds = []
 
-        def with_gap(ch, dual, cfg):
-            res = replace(stationary_solve(ch, dual, cfg), gap=0.25)
+        def with_gap(ch, dual, power_cap):
+            res = replace(stationary_solve(ch, dual, power_cap), gap=0.25)
             cut = Cut(res.p, rate_pair_proper(ch, res.p), "stationary")
             bounds.append(achieved_dual_value(ch, dual, budget10, cut) + res.gap)
             return res
 
         monkeypatch.setattr(outer, "bnb_solve", with_gap)
-        cp = cutting_plane(sec6, budget10, RateProfile(0.5), OuterConfig(max_cuts=5))
+        monkeypatch.setattr(outer, "MAX_CUTS", 5)
+        cp = cutting_plane(sec6, budget10, RateProfile(0.5))
         assert cp.upper == min(bounds)
         assert cp.upper_history == tuple(np.minimum.accumulate(bounds))
         assert not cp.converged

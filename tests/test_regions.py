@@ -308,6 +308,13 @@ class TestTheorem1Check:
         with pytest.raises(ValueError, match="trials"):
             theorem1_check(sec6, budget10, trials=trials, boundary=ts_boundary)
 
+    @pytest.mark.parametrize("beta_grid", [1, 0])
+    def test_rejects_a_single_profile_grid(self, sec6, budget10, beta_grid):
+        # one profile gives a boundary of one point, which every
+        # candidate escapes
+        with pytest.raises(ValueError, match="beta_grid"):
+            theorem1_check(sec6, budget10, trials=50, beta_grid=beta_grid)
+
     def test_scaled_channel_rerun(self, sec6, budget10):
         from tinregions import ChannelRealization
 
