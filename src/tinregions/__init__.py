@@ -8,7 +8,10 @@ regions, and coded time-sharing where both rates and transmit powers
 are averaged across strategies.  The time-sharing boundary is obtained
 by a cutting-plane method on the dualized rate-balancing problem; its
 inner power allocation is maximized by enumerating the stationary
-points of the objective's gradient.
+points of the objective's gradient.  Every linear program the package
+solves is the same five-row master over time-sharing weights
+(:mod:`tinregions.lp`): in the cutting-plane loop, in primal recovery
+and in the Theorem-1 harness.
 Verification harnesses check the bound/propriety properties the
 construction relies on, including that proper signaling attains the
 full time-sharing region.
@@ -30,7 +33,7 @@ from .model import (
     rate_upper_bound,
     upper_bound_rates,
 )
-from .lp import LinearProgram, LpSolution, lp_solve
+from .lp import LpSolution, MasterLP, lp_solve
 from .inner import DualPoint, InnerResult, inner_objective, stationary_solve
 from .outer import (
     Cut,

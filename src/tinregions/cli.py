@@ -8,8 +8,8 @@ Three subcommands over a JSON channel file:
   strategy mixture, as a JSON document;
 * ``verify``  run the verification suites and report pass/fail.
 
-Exit codes: 0 success, 2 unusable input (including budgets and
-``--eps-cp`` values the library rejects, ``--trials`` or ``--betas``
+Exit codes: 0 success, 2 unusable input (including budgets, ``--beta``
+and ``--eps-cp`` values the library rejects, ``--trials`` or ``--betas``
 below 1, and ``--betas`` below 2 for the theorem1 suite), 3 solver
 non-convergence (partial output is still written, flagged in the
 status column).
@@ -88,6 +88,8 @@ def _inputs(args) -> tuple[PowerBudget, RegionConfig]:
             raise ValueError(f"--{flag} must be >= 1")
     if getattr(args, "suite", None) in ("theorem1", "all") and args.betas < 2:
         raise ValueError("--betas must be >= 2 for the theorem1 suite")
+    if getattr(args, "beta", None) is not None:
+        RateProfile(args.beta)  # ValueError outside [0, 1], NaN included
     budget = PowerBudget(args.p1, args.p2)
     cfg = RegionConfig(
         outer=OuterConfig(epsilon_cp=args.eps_cp),

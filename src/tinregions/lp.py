@@ -1,42 +1,40 @@
-"""Dense revised-simplex solver returning primal and dual solutions.
+"""Dense revised simplex for the five-row master LP, returning primal
+and dual solutions.
 
-Sized for the small linear programs that arise in the cutting-plane
-loop and in primal recovery (a handful of structural variables, at most
-a few hundred rows).  Every iteration recomputes the basic solution,
-duals and pivot column directly from the original (row-equilibrated)
-data, so no update error can accumulate; pivoting uses Bland's rule
-throughout, which rules out cycling and makes the solver deterministic:
-identical inputs produce bitwise-identical outputs.  Returned solutions
-are basic (vertex) solutions.
+Every LP the package solves is the master of coded time-sharing
+(:class:`MasterLP`): time-sharing weights tau over L strategies with
+known rates and powers, chosen to maximize the common rate scale R.
+Every iteration recomputes the basic solution, duals and pivot column
+directly from the original (row-equilibrated) data, so no update error
+can accumulate; pivoting uses Bland's rule throughout, which rules out
+cycling and makes the solver deterministic: identical inputs produce
+bitwise-identical outputs.  Returned solutions are basic (vertex)
+solutions, so at most five weights are positive.
 
 Dual values follow the shadow-price convention: ``dual[i]`` is the
-sensitivity of the optimal objective (in the problem's own sense) to
-the right-hand side of row i.
+sensitivity of the optimal R to the right-hand side of row i.
 
-A solve can resume from an earlier optimal basis (``start``, taken from
-``LpSolution.basis``).  Basic columns are labelled by what they are,
-not where they sit: ``("x+", j)`` and ``("x-", j)`` for the two parts of
-variable j (the second exists only for a free variable) and
-``("slack", i)`` for the slack or surplus of row i.  The labels survive
-appending variables to an LP with unchanged rows, which keeps the old
-basis primal feasible (the new variables start nonbasic at zero), so
-phase 1 is skipped and phase 2 continues from there.  A start that does
-not map onto a nonsingular, primal feasible basis of the new LP falls
-back to the cold two-phase solve.
+The solver's columns are R+, R-, tau_1 ... tau_L, the surplus columns
+of the rate rows, the slack columns of the power rows and the
+artificial of the simplex row.  A solve can resume from an earlier
+optimal basis (``start``, taken from ``LpSolution.basis``): structural
+columns are numbered from the front and the last five from the end, so
+a basis stays valid when tau columns are appended to a master with
+unchanged rows.  The old basis is then still primal feasible (the new
+weights start nonbasic at zero), so phase 1 is skipped and phase 2
+continues from there.  A start that does not map onto a nonsingular,
+primal feasible basis without the artificial falls back to the cold
+two-phase solve.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LESS", "GREATER", "EQUAL", "LinearProgram", "LpSolution", "lp_solve"]
-
-LESS = "<="
-GREATER = ">="
-EQUAL = "="
+__all__ = ["MasterLP", "LpSolution", "lp_solve"]
 
 FEAS_TOL = 1e-9
 COST_TOL = 1e-10
@@ -50,117 +48,70 @@ _TIE_HIGH = 1.0 + RATIO_TIE_TOL
 #: Largest condition number accepted for a warm-start basis.
 _WARM_COND_MAX = 1e12
 _MAX_PIVOTS = 50_000
+#: Surplus (rate rows), slack (power rows) and artificial (simplex row)
+#: columns, the last five columns of every master.
+_EXTRA = np.diag([-1.0, -1.0, 1.0, 1.0, 1.0])
+_M = 5
 
 
-@dataclass
-class LinearProgram:
-    """``sense`` is ``"max"`` or ``"min"``; each row is a
-    ``(coefficients, relation, rhs)`` triple; ``lower`` gives the lower
-    bound of each variable, either ``0.0`` or ``-inf`` (default all 0)."""
+class MasterLP:
+    """The master over the variables (R, tau_1, ..., tau_L): maximize R
+    subject to sum_i tau_i r_k,i >= rho_k R (rows 0, 1), sum_i tau_i
+    p_k,i <= P_k (rows 2, 3) and sum_i tau_i = 1 (row 4), tau >= 0 and
+    R free.
 
-    sense: str
-    objective: np.ndarray
-    rows: list[tuple[np.ndarray, str, float]]
-    lower: tuple[float, ...] | None = None
+    ``rates`` and ``powers`` are 2 x L (row k for user k + 1),
+    ``budget`` is (P1, P2) and ``rho`` the rate profile.  ``rows`` is
+    the 5 x (1 + L) constraint matrix and ``rhs`` is (0, 0, P1, P2, 1).
+    ``ValueError`` unless every value is finite, the budgets are >= 0
+    and there is at least one strategy.
+    """
 
-    def __post_init__(self):
-        if self.sense not in ("max", "min"):
-            raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
-        self.objective = np.asarray(self.objective, dtype=float)
-        if self.objective.ndim != 1:
-            raise ValueError("objective must be a vector")
-        n = self.objective.size
-        if not np.all(np.isfinite(self.objective)):
-            raise ValueError("objective coefficients must be finite")
-        norm_rows = []
-        for coeffs, rel, rhs in self.rows:
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != (n,):
-                raise ValueError(
-                    f"row dimension {coeffs.shape} does not match objective size {n}"
-                )
-            if rel not in (LESS, GREATER, EQUAL):
-                raise ValueError(f"unknown relation {rel!r}")
-            rhs = float(rhs)
-            if not (np.all(np.isfinite(coeffs)) and np.isfinite(rhs)):
-                raise ValueError("row coefficients must be finite")
-            norm_rows.append((coeffs, rel, rhs))
-        self.rows = norm_rows
-        if self.lower is None:
-            self.lower = (0.0,) * n
-        else:
-            # a list, not a generator: tuple() resizes a generator's result
-            # as it grows, and over thousands of LPs of growing width the
-            # resized blocks stranded 1.7 MB of small-object arenas
-            self.lower = tuple([float(b) for b in self.lower])
-            if len(self.lower) != n:
-                raise ValueError("lower bounds must match the number of variables")
-            for b in self.lower:
-                if b != 0.0 and not b == -np.inf:
-                    raise ValueError("variable lower bounds must be 0 or -inf")
+    __slots__ = ("rows", "rhs")
 
-    @property
-    def n_vars(self) -> int:
-        return self.objective.size
+    def __init__(self, rates, powers, budget, rho):
+        rates = np.asarray(rates, dtype=float)
+        powers = np.asarray(powers, dtype=float)
+        if rates.ndim != 2 or rates.shape[0] != 2 or rates.shape[1] < 1:
+            raise ValueError("rates must be 2 x L with at least one strategy")
+        if powers.shape != rates.shape:
+            raise ValueError("powers must match the shape of rates")
+        rows = np.zeros((_M, 1 + rates.shape[1]))
+        rows[:2, 0] = -np.asarray(rho, dtype=float)
+        rows[:2, 1:] = rates
+        rows[2:4, 1:] = powers
+        rows[4, 1:] = 1.0
+        rhs = np.array([0.0, 0.0, *budget, 1.0], dtype=float)
+        if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(rhs))):
+            raise ValueError("master coefficients must be finite")
+        if not rhs[2:4].min() >= 0.0:
+            raise ValueError("budgets must be >= 0")
+        self.rows = rows
+        self.rhs = rhs
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    primal: np.ndarray | None = None
+    status: str  # "optimal" | "infeasible"
+    primal: np.ndarray | None = None  # (R, tau_1, ..., tau_L)
     dual: np.ndarray | None = None
     objective: float | None = None
-    # optimal basic columns and the column layout that names them; the
-    # labels are built only when ``basis`` is read
-    _basic: tuple | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def basis(self) -> tuple[tuple[str, int], ...] | None:
-        """Labels of the optimal basic columns, one per row, for
-        ``lp_solve(..., start=...)``; ``None`` unless optimal."""
-        if self._basic is None:
-            return None
-        cols, layout = self._basic
-        return tuple([_label(k, *layout) for k in cols])
+    #: optimal basic columns, one per row, for ``lp_solve(..., start=...)``:
+    #: structural columns by index, the last five counted from the end
+    basis: tuple[int, ...] | None = None
 
 
-def _label(
-    k: int, col_of_var: list[tuple[int, int]], n_struct: int, extra_rows: list[int], n_slack: int
-) -> tuple[str, int]:
-    """Label of extended column k: the structural parts come first, then
-    the slack or surplus columns, then the artificials, each with its
-    row."""
-    if k >= n_struct:
-        k -= n_struct
-        return ("slack" if k < n_slack else "artificial", extra_rows[k])
-    j = next(j for j, pair in enumerate(col_of_var) if k in pair)
-    return ("x+" if k == col_of_var[j][0] else "x-", j)
-
-
-def _column(
-    label: tuple[str, int],
-    col_of_var: list[tuple[int, int]],
-    n_struct: int,
-    extra_rows: list[int],
-    n_slack: int,
-) -> int:
-    """Extended column carrying a non-artificial label, or -1."""
-    kind, i = label
-    if kind in ("x+", "x-") and 0 <= i < len(col_of_var):
-        return col_of_var[i][kind == "x-"]  # -1 for the x- of a bounded variable
-    if kind == "slack" and i in extra_rows[:n_slack]:
-        return n_struct + extra_rows.index(i)
-    return -1
-
-
-def _warm_basis(
-    start: Sequence[tuple[str, int]], layout: tuple, A_ext: np.ndarray, b: np.ndarray
-) -> list[int] | None:
+def _warm_basis(start: Sequence[int], A_ext: np.ndarray, b: np.ndarray) -> list[int] | None:
     """Columns of ``start`` in this LP if they form a nonsingular basis
-    whose basic solution is primal feasible, else ``None``."""
-    cols = [_column(label, *layout) for label in start]
-    m = A_ext.shape[0]
-    if len(cols) != m or min(cols, default=0) < 0 or len(set(cols)) != m:
+    without the artificial whose basic solution is primal feasible,
+    else ``None``."""
+    N = A_ext.shape[1]
+    n_struct = N - _M
+    # -1 marks a column this LP lacks; the artificial (column -1) counts as one
+    cols = [
+        k if 0 <= k < n_struct else N + k if -_M <= k < -1 else -1 for k in map(int, start)
+    ]
+    if len(cols) != _M or min(cols, default=0) < 0 or len(set(cols)) != _M:
         return None
     B = A_ext[:, cols]
     if not np.linalg.cond(B) <= _WARM_COND_MAX:
@@ -225,107 +176,42 @@ def _simplex(A_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[in
     raise RuntimeError("simplex pivot limit exceeded")
 
 
-def lp_solve(lp: LinearProgram, start: Sequence[tuple[str, int]] | None = None) -> LpSolution:
-    """Solve a small dense LP, reporting primal, duals and the objective.
+def lp_solve(master: MasterLP, start: Sequence[int] | None = None) -> LpSolution:
+    """Solve a master LP, reporting primal, duals and the optimal R.
 
-    ``start`` is the ``basis`` of an earlier solution of an LP with the
-    same rows and possibly more variables; when it is still a feasible
-    basis, phase 1 is skipped."""
-    n = lp.n_vars
-    m = len(lp.rows)
-    maximize = lp.sense == "max"
+    ``start`` is the ``basis`` of an earlier solution of a master with
+    the same rows and possibly more strategies; when it is still a
+    feasible basis, phase 1 is skipped.  The status is ``"infeasible"``
+    when no mixture of the strategies meets the budgets."""
+    A = master.rows
+    rhs0 = master.rhs
+    m, n = A.shape
 
-    A = np.array([coeffs for coeffs, _, _ in lp.rows], dtype=float).reshape(m, n)
-    rhs0 = np.array([r for _, _, r in lp.rows], dtype=float)
-    rels0 = [rel for _, rel, _ in lp.rows]
-
-    # Normalize: flip rows to nonnegative rhs, then equilibrate row scales.
-    flip = np.ones(m)
-    rels = list(rels0)
-    rhs = rhs0.copy()
-    for i in range(m):
-        if rhs[i] < 0.0:
-            rhs[i] = -rhs[i]
-            flip[i] = -1.0
-            rels[i] = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[rels[i]]
-    A_norm = A * flip[:, None]
-    scale = np.maximum(np.abs(A_norm).max(axis=1, initial=0.0), rhs)
+    # Equilibrate row scales; the right-hand side is nonnegative.
+    scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), rhs0)
     scale[scale <= 0.0] = 1.0
-    A_norm = A_norm / scale[:, None]
-    rhs = rhs / scale
+    A_norm = A / scale[:, None]
+    rhs = rhs0 / scale
 
-    # Split variables with a free lower bound into x+ - x-.
-    obj = lp.objective if maximize else -lp.objective
-    col_of_var: list[tuple[int, int]] = []
-    cols: list[np.ndarray] = []
-    c_ext: list[float] = []
-    for j in range(n):
-        cols.append(A_norm[:, j])
-        c_ext.append(obj[j])
-        if lp.lower[j] == 0.0:
-            col_of_var.append((len(cols) - 1, -1))
-        else:
-            cols.append(-A_norm[:, j])
-            c_ext.append(-obj[j])
-            col_of_var.append((len(cols) - 2, len(cols) - 1))
-    n_struct = len(cols)
-
-    # Slack / surplus columns, then artificials.  A >= row with zero rhs
-    # starts feasibly on its own surplus variable, so artificials are
-    # needed only for equalities and >= rows with positive rhs; this
-    # keeps phase 1 to a handful of pivots in the cut LPs, whose
-    # generated rows all pass through the origin.
-    basis = [-1] * m
-    artificial: list[int] = []
-    extra: list[np.ndarray] = []
-    extra_rows: list[int] = []
-    for i, rel in enumerate(rels):
-        if rel == LESS:
-            col = np.zeros(m)
-            col[i] = 1.0
-            extra.append(col)
-            extra_rows.append(i)
-            c_ext.append(0.0)
-            basis[i] = n_struct + len(extra) - 1
-        elif rel == GREATER:
-            col = np.zeros(m)
-            col[i] = -1.0
-            extra.append(col)
-            extra_rows.append(i)
-            c_ext.append(0.0)
-            if rhs[i] == 0.0:
-                basis[i] = n_struct + len(extra) - 1
-    n_slack = len(extra)
-    for i, rel in enumerate(rels):
-        if basis[i] < 0:
-            col = np.zeros(m)
-            col[i] = 1.0
-            extra.append(col)
-            extra_rows.append(i)
-            c_ext.append(0.0)
-            basis[i] = n_struct + len(extra) - 1
-            artificial.append(basis[i])
-
-    N = n_struct + len(extra)
-    A_ext = np.zeros((m, N))
-    for k, col in enumerate(cols):
-        A_ext[:, k] = col
-    for k, col in enumerate(extra):
-        A_ext[:, n_struct + k] = col
-    layout = (col_of_var, n_struct, extra_rows, n_slack)
-
+    # R is free and splits into R+ - R-; the rate rows start feasibly on
+    # their surplus columns (zero rhs), the power rows on their slacks
+    # and the simplex row on its artificial.
+    A_ext = np.hstack([A_norm[:, :1], -A_norm[:, :1], A_norm[:, 1:], _EXTRA])
+    N = A_ext.shape[1]
+    n_struct = N - _M
+    art = N - 1
+    c_ext = np.zeros(N)
+    c_ext[0] = 1.0
+    c_ext[1] = -1.0
     is_artificial = np.zeros(N, dtype=bool)
-    is_artificial[artificial] = True
+    is_artificial[art] = True
 
-    warm = None
-    if start is not None:
-        warm = _warm_basis(start, layout, A_ext, rhs)
-    if warm is not None:
-        basis = warm
-    # Phase 1: drive the artificials to zero.
-    elif artificial:
+    basis = None if start is None else _warm_basis(start, A_ext, rhs)
+    # Phase 1: drive the artificial to zero.
+    if basis is None:
+        basis = list(range(n_struct, N))
         costs1 = np.zeros(N)
-        costs1[artificial] = -1.0
+        costs1[art] = -1.0
         status = _simplex(A_ext, rhs, costs1, basis, np.ones(N, dtype=bool))
         if status != "optimal":  # phase-1 objective is bounded above by 0
             raise RuntimeError(f"phase 1 of the simplex reported {status}")
@@ -334,57 +220,45 @@ def lp_solve(lp: LinearProgram, start: Sequence[tuple[str, int]] | None = None) 
         infeas = float(np.sum(x_B[is_artificial[basis]]))
         if infeas > 1e-7:
             return LpSolution(status="infeasible")
-        # Pivot any artificial still basic (at zero) out on a real column.
+        # Pivot the artificial, if still basic (at zero), out on a real column.
         for i in range(m):
-            if is_artificial[basis[i]]:
+            if basis[i] == art:
                 B = A_ext[:, basis]
                 w = np.linalg.solve(B.T, np.eye(m)[i])
                 row = w @ A_ext
                 for j in range(N):
-                    if not is_artificial[j] and j not in basis and abs(row[j]) > 1e-7:
+                    if j != art and j not in basis and abs(row[j]) > 1e-7:
                         basis[i] = j
                         break
                 # A row with no eligible column is redundant; the
                 # artificial stays basic at zero and never re-enters.
 
-    # Phase 2 over the original objective; artificials may not re-enter.
-    costs2 = np.array(c_ext)
-    costs2[is_artificial] = 0.0
-    status = _simplex(A_ext, rhs, costs2, basis, ~is_artificial)
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
+    # Phase 2 over R; the artificial may not re-enter.
+    if _simplex(A_ext, rhs, c_ext, basis, ~is_artificial) != "optimal":
+        raise RuntimeError("simplex reported an unbounded master LP")
 
     B = A_ext[:, basis]
     x_B = np.linalg.solve(B, rhs)
     x_ext = np.zeros(N)
     x_ext[basis] = np.maximum(x_B, 0.0)
     primal = np.empty(n)
-    for j, (jp, jm) in enumerate(col_of_var):
-        primal[j] = x_ext[jp] - (x_ext[jm] if jm >= 0 else 0.0)
-    value_max = float(costs2 @ x_ext)
+    primal[0] = x_ext[0] - x_ext[1]
+    primal[1:] = x_ext[2:n_struct]
+    value = float(c_ext @ x_ext)
 
-    # Duals y = c_B B^{-1}, then undo the scaling, flips and sense change.
-    y = np.linalg.solve(B.T, costs2[basis])
-    y = y / scale * flip
-    if not maximize:
-        y = -y
-    value = value_max if maximize else -value_max
+    # Duals y = c_B B^{-1}, then undo the row scaling.
+    y = np.linalg.solve(B.T, c_ext[basis]) / scale
 
     residual = A @ primal - rhs0
-    for i, rel in enumerate(rels0):
-        tol = 1e-6 * max(1.0, scale[i])
-        bad = (
-            (rel == EQUAL and abs(residual[i]) > tol)
-            or (rel == LESS and residual[i] > tol)
-            or (rel == GREATER and residual[i] < -tol)
-        )
-        if bad:
-            raise RuntimeError(f"simplex returned an infeasible point (row {i})")
+    violation = np.concatenate([-residual[:2], residual[2:4], np.abs(residual[4:])])
+    bad = np.flatnonzero(violation > 1e-6 * np.maximum(1.0, scale))
+    if bad.size:
+        raise RuntimeError(f"simplex returned an infeasible point (row {bad[0]})")
 
     return LpSolution(
         status="optimal",
         primal=primal,
         dual=y,
         objective=value,
-        _basic=(basis, layout),
+        basis=tuple([k if k < n_struct else k - N for k in basis]),
     )

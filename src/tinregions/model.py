@@ -264,18 +264,13 @@ def upper_bound_rates(ch: ChannelRealization, c1, c2, kappa1, kappa2):
     large as :func:`improper_rates` for any phases.
     """
     g11, g12, g21, g22 = ch.gains
-
-    def one(gkk, gkj, noise, ck, kapk, cj, kapj):
-        cs = gkj * cj + noise
-        cy = gkk * ck + cs
-        diff = gkk * kapk - gkj * kapj
-        num = 1.0 - diff**2 / cy**2
-        den = 1.0 - (gkj * kapj) ** 2 / cs**2
-        # nonnegative in exact arithmetic; clamp the rounding residue
-        return np.maximum(np.log1p(gkk * ck / cs) / _LN2 + 0.5 * np.log2(num / den), 0.0)
-
-    r1 = one(g11, g12, ch.noise1, c1, kappa1, c2, kappa2)
-    r2 = one(g22, g21, ch.noise2, c2, kappa2, c1, kappa1)
+    # magnitudes suffice, and keep the unused factors a and b real
+    h11, h12, h21, h22 = (abs(ch.h11), abs(ch.h12), abs(ch.h21), abs(ch.h22))
+    _, _, cy1, den1, base1 = _improper_terms(h11, h12, ch.noise1, c1, kappa1, c2, kappa2)
+    _, _, cy2, den2, base2 = _improper_terms(h22, h21, ch.noise2, c2, kappa2, c1, kappa1)
+    # the bound aligns the two pseudovariance terms in opposite phase
+    r1 = _improper_finish(g11 * kappa1, -(g12 * kappa2), cy1, den1, base1)
+    r2 = _improper_finish(g22 * kappa2, -(g21 * kappa1), cy2, den2, base2)
     return r1, r2
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .inner import DualPoint
 from .inner import stationary_solve as bnb_solve  # callers wrap outer.bnb_solve to trace it
-from .lp import EQUAL, GREATER, LESS, LinearProgram, lp_solve
+from .lp import MasterLP, lp_solve
 from .model import ChannelRealization, PowerBudget, RatePair, RateProfile, rate_pair_proper
 
 _LN2 = math.log(2.0)
@@ -119,28 +119,15 @@ class CuttingPlaneResult:
 
 def master_lp(
     cuts: list[Cut] | tuple[Cut, ...], budget: PowerBudget, profile: RateProfile
-) -> LinearProgram:
-    """Master LP over the variables (R, tau_1, ..., tau_L): maximize R
-    subject to sum_i tau_i r_k,i >= rho_k R (rows 0, 1), sum_i tau_i
-    p_k,i <= P_k (rows 2, 3) and sum_i tau_i = 1 (row 4), tau >= 0 and R
-    free.  R comes first, so a new cut appends a variable."""
-    if not cuts:
-        raise ValueError("at least one cut is required")
-    rho1, rho2 = profile.rho
-    rows: list[tuple[np.ndarray, str, float]] = [
-        (np.array([-rho1] + [c.rates.r1 for c in cuts]), GREATER, 0.0),
-        (np.array([-rho2] + [c.rates.r2 for c in cuts]), GREATER, 0.0),
-        (np.array([0.0] + [c.p[0] for c in cuts]), LESS, budget.p1),
-        (np.array([0.0] + [c.p[1] for c in cuts]), LESS, budget.p2),
-        (np.array([0.0] + [1.0] * len(cuts)), EQUAL, 1.0),
-    ]
-    objective = np.zeros(len(cuts) + 1)
-    objective[0] = 1.0
-    return LinearProgram(
-        sense="max",
-        objective=objective,
-        rows=rows,
-        lower=(-np.inf,) + (0.0,) * len(cuts),
+) -> MasterLP:
+    """The master LP (:class:`~tinregions.lp.MasterLP`) over the cuts'
+    proper rates and power vectors.  R comes first, so a new cut appends
+    a column."""
+    return MasterLP(
+        [[c.rates.r1 for c in cuts], [c.rates.r2 for c in cuts]],
+        [[c.p[0] for c in cuts], [c.p[1] for c in cuts]],
+        (budget.p1, budget.p2),
+        profile.rho,
     )
 
 

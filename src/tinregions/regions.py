@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import EQUAL, GREATER, LESS, LinearProgram, lp_solve
+from .lp import MasterLP, lp_solve
 from .model import (
     TWO_PI,
     ChannelRealization,
@@ -517,9 +517,11 @@ def theorem1_check(
 
     Each trial draws up to four improper strategies (per-slot powers may
     exceed the budget; the first slot stays within it so the weight
-    problem is always feasible), optimizes the time-sharing weights for
-    a random profile by LP, and measures how far the averaged rate pair
-    lands outside the interpolated proper time-sharing boundary.  Any
+    problem is always feasible) and optimizes their time-sharing weights
+    for a random profile with the master LP of the cutting-plane loop
+    (:class:`~tinregions.lp.MasterLP`).  :func:`boundary_violation`
+    measures how far the averaged rate pair lands outside the
+    interpolated proper time-sharing boundary.  Any
     violation beyond the tolerance would disprove the propriety claim;
     the report counts them.  ``ValueError`` if ``trials < 1``, or if
     ``beta_grid < 2``: a single profile cannot describe a boundary.
@@ -533,7 +535,6 @@ def theorem1_check(
             "ts-proper", ch, budget, np.linspace(0.0, 1.0, beta_grid), cfg
         )
     bnd_points = boundary.rate_points()
-    height, r1max, _ = _boundary_interp(bnd_points)
     rng = np.random.default_rng(cfg.sampling.seed)
     lo_f, hi_f = impropriety
     max_violation = -math.inf
@@ -553,28 +554,12 @@ def theorem1_check(
         ph2 = rng.uniform(0.0, TWO_PI, L)
         r1, r2 = improper_rates(ch, c1, c2, k1, k2, ph1, ph2)
         beta = float(rng.uniform())
-        rho1, rho2 = beta, 1.0 - beta
-        rows = []
-        if rho1 > 0.0:
-            rows.append((np.append(r1, -rho1), GREATER, 0.0))
-        if rho2 > 0.0:
-            rows.append((np.append(r2, -rho2), GREATER, 0.0))
-        rows.append((np.append(c1, 0.0), LESS, budget.p1))
-        rows.append((np.append(c2, 0.0), LESS, budget.p2))
-        rows.append((np.append(np.ones(L), 0.0), EQUAL, 1.0))
-        lp = LinearProgram(
-            sense="max",
-            objective=np.append(np.zeros(L), 1.0),
-            rows=rows,
-            lower=(0.0,) * L + (-np.inf,),
-        )
-        sol = lp_solve(lp)
+        master = MasterLP((r1, r2), (c1, c2), (budget.p1, budget.p2), (beta, 1.0 - beta))
+        sol = lp_solve(master)
         if sol.status != "optimal":
             raise RuntimeError(f"weight LP reported {sol.status}")
-        taus = sol.primal[:L]
-        avg1 = float(taus @ r1)
-        avg2 = float(taus @ r2)
-        v = max(avg1 - r1max, avg2 - float(height(min(avg1, r1max))))
+        taus = sol.primal[1:]
+        v = boundary_violation((float(taus @ r1), float(taus @ r2)), bnd_points)
         if v > max_violation:
             max_violation = v
         if v > THEOREM1_TOL:

@@ -31,8 +31,8 @@ BAD_NUMBERS = [
     ["--p2", "-1"],
 ]
 BAD_COUNTS = {
-    "region": [["--betas", "0"], ["--betas", "-3"]],
-    "solve": [],
+    "region": [["--betas", "0"], ["--betas", "-3"], ["--beta", "1.5"]],
+    "solve": [["--beta", "1.5"], ["--beta", "nan"]],
     "verify": [
         ["--suite", "theorem1", "--trials", "-5"],
         ["--suite", "lemma1", "--trials", "0"],
@@ -132,13 +132,18 @@ class TestRegionCommand:
         if command == "region":
             args += ["--method", "ts-proper", "--out", str(tmp_path / "x")]
         elif command == "solve":
-            args += ["--beta", "0.5", "--out", str(tmp_path / "x")]
+            args += ["--out", str(tmp_path / "x")]
+            if "--beta" not in flags:
+                args += ["--beta", "0.5"]
         elif "--suite" not in flags:
             args += ["--suite", "lemma1"]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert any(word in err for word in ("epsilon_cp", "power budgets", "--trials", "--betas"))
+        assert any(
+            word in err
+            for word in ("epsilon_cp", "power budgets", "beta must lie", "--trials", "--betas")
+        )
         assert not (tmp_path / "x").exists()
 
     def test_missing_channel_flag_exits_2(self, tmp_path):

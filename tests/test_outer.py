@@ -22,7 +22,9 @@ from tinregions import (
 )
 from tinregions import lp as lp_module
 from tinregions import outer
-from tinregions.lp import EQUAL, GREATER
+
+GREATER = ">="
+EQUAL = "="
 
 
 def make_cut(ch, p):
@@ -137,7 +139,7 @@ class TestRelaxedDualLp:
         for k, (lp, sol) in enumerate(seen):
             assert len(lp.rows) == 5
             assert sol.objective == cp.lower_history[k]
-            assert_dual_certificate(sol, cp.cuts[: lp.n_vars - 1], budget10, profile)
+            assert_dual_certificate(sol, cp.cuts[: lp.rows.shape[1] - 1], budget10, profile)
 
 
 class TestAchievedDualValue:
