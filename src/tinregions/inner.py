@@ -14,6 +14,17 @@ interior stationary point.  ``stationary_solve`` enumerates these
 candidates, polishes them by Newton steps and returns the best; the
 cutting-plane loop calls it.
 
+The kernel works on Python floats and small fixed-shape arrays: the
+eighteen coefficients of the two cubics are written out in closed form;
+the resultant is the determinant of a Bezout matrix of size at most 3,
+built at ten Chebyshev nodes from the nodes' powers and fixed index
+arrays and expanded by cofactors; and the cubics and quadratics in one
+variable are solved by sign changes between their turning points.
+Rounding is bounded to first order by the cofactors, so the resultant
+is declared to vanish only when it does so within that bound, which
+stays tight on the nearly singular channels where the interference
+gains almost match the direct ones.
+
 When a user with positive rate weight has a zero power price the
 objective is unbounded above; the search is then over the box
 ``[0, power_cap]^2`` and the result is flagged ``capped``.
@@ -120,55 +131,59 @@ def _single_user_max(g, n, mu, lam):
 _IMAG_TOL = 1e-5
 _DOMAIN_TOL = 1e-6
 _NEWTON_STEPS = 30
+#: Step cap and step tolerance of the bracketed one-dimensional root search.
+_ROOT_STEPS = 100
+_ROOT_XTOL = 1e-12
 #: Share of the total weighted-rate span below which the stationary-point
 #: oracle treats a user's rate weight as zero.
 _WEIGHT_TOL = 1e-9
 
 
-def _affine(c0, c1, c2):
-    """Bivariate polynomial c0 + c1*x + c2*y as a coefficient grid."""
-    return np.array([[c0, c2], [c1, 0.0]])
-
-
-def _mul(*polys):
-    """Product of bivariate polynomials (grids indexed [x power, y power])."""
-    out = polys[0]
-    for b in polys[1:]:
-        res = np.zeros((out.shape[0] + b.shape[0] - 1, out.shape[1] + b.shape[1] - 1))
-        for i, j in zip(*np.nonzero(b)):
-            res[i : i + out.shape[0], j : j + out.shape[1]] += b[i, j] * out
-        out = res
-    return out
-
-
-def _add(*polys):
-    shape = tuple(max(p.shape[k] for p in polys) for k in range(2))
-    out = np.zeros(shape)
-    for p in polys:
-        out[: p.shape[0], : p.shape[1]] += p
-    return out
+def _numerator_grid(c11, c12, c21, c22, a1, a2, l1):
+    """Coefficients of N1 (see :func:`_gradient_numerators`) indexed
+    [power of x, power of y], expanded in closed form."""
+    d = a1 * c11
+    return np.array(
+        [
+            [d - l1, c22 * (d - a2 * c21) - l1 * (c12 + c22), -c12 * c22 * (l1 + a2 * c21), 0.0],
+            [
+                2.0 * d * c21 - l1 * (c11 + 2.0 * c21),
+                c11 * c21 * c22 * (a1 - a2) - l1 * (c11 * c22 + 2.0 * c12 * c21 + c21 * c22),
+                -l1 * c12 * c21 * c22,
+                0.0,
+            ],
+            [
+                c21 * (d * c21 - l1 * (2.0 * c11 + c21)),
+                -l1 * c21 * (c11 * c22 + c12 * c21),
+                0.0,
+                0.0,
+            ],
+            [-l1 * c11 * c21 * c21, 0.0, 0.0, 0.0],
+        ]
+    )
 
 
 def _gradient_numerators(c, a1, a2, l1, l2):
     """Numerators (N1, N2) of the scaled objective's two partial
-    derivatives, each multiplied by its positive denominators.
+    derivatives, each multiplied by its positive denominators, as 4 x 4
+    coefficient grids indexed [power of x, power of y].
 
     ``c`` holds the gains over noise in scaled coordinates, ``(c11, c12,
     c21, c22)``, so that the receivers see S1 = 1 + c11*x + c12*y and
     S2 = 1 + c21*x + c22*y with interference parts I1 = 1 + c12*y and
-    I2 = 1 + c21*x.  Both numerators are cubics.
+    I2 = 1 + c21*x.  The numerators are the cubics
+
+        N1 = a1*c11*S2*I2 - a2*c21*c22*y*S1 - l1*S1*S2*I2,
+        N2 = a2*c22*S1*I1 - a1*c11*c12*x*S2 - l2*S1*I1*S2,
+
+    nine coefficients each.  N2 is N1 with the users' roles swapped
+    (x with y, c11 with c22, c12 with c21, a1 with a2).
     """
     c11, c12, c21, c22 = c
-    s1, i1 = _affine(1.0, c11, c12), _affine(1.0, 0.0, c12)
-    s2, i2 = _affine(1.0, c21, c22), _affine(1.0, c21, 0.0)
-    x, y = _affine(0.0, 1.0, 0.0), _affine(0.0, 0.0, 1.0)
-    n1 = _add(
-        a1 * c11 * _mul(s2, i2), -a2 * c21 * c22 * _mul(y, s1), -l1 * _mul(s1, s2, i2)
+    return (
+        _numerator_grid(c11, c12, c21, c22, a1, a2, l1),
+        _numerator_grid(c22, c21, c12, c11, a2, a1, l2).T,
     )
-    n2 = _add(
-        -a1 * c12 * c11 * _mul(x, s2), a2 * c22 * _mul(s1, i1), -l2 * _mul(s1, i1, s2)
-    )
-    return n1, n2
 
 
 #: Chebyshev points of the first kind on [0, 1], and the map from values
@@ -178,71 +193,244 @@ _NODES_T = np.cos(np.pi * (np.arange(10) + 0.5) / 10)
 _NODES = 0.5 * (_NODES_T + 1.0)
 _CHEB_FIT = 0.2 * np.cos(np.outer(np.arange(10), np.arccos(_NODES_T)))
 _CHEB_FIT[0] *= 0.5
+_CHEB_FIT_ABS = np.abs(_CHEB_FIT)
+#: Powers 0..3 of the nodes, shaped to scale coefficient grids indexed
+#: [power of x, grid, power of y]: summing over the powers of x gives the
+#: grids' coefficients in y at every node.
+_POWERS = np.vander(_NODES, 4, increasing=True)[:, :, None, None]
+
+
+def _bezout_terms(n):
+    """Where the n x n Bezout matrix of two polynomials f, g in y gets
+    its terms w_ab = f_a*g_b - f_b*g_a: flat indices 5a + b, three slots
+    per entry of the 3 x 3 matrix (row-major), entry ij summing w_ab over
+    a = i - k, b = j + k + 1 for k <= min(i, n - 1 - j), with unused
+    slots at w_44 = 0; and the identity that pads a smaller matrix."""
+    at = np.full((9, 3), 24)
+    for i in range(n):
+        for j in range(n):
+            for k in range(min(i, n - 1 - j) + 1):
+                at[3 * i + j, k] = 5 * (i - k) + j + k + 1
+    pad = np.zeros(9)
+    pad[[4 * i for i in range(n, 3)]] = 1.0
+    return at, pad
+
+
+_BEZOUT = {n: _bezout_terms(n) for n in (1, 2, 3)}
+#: Turns the products f_a*g_b and |f_a|*|g_b| into the Bezout terms and
+#: their sizes |f_a|*|g_b| + |f_b|*|g_a|.
+_TERM_SIGN = np.array([-1.0, 1.0])[:, None, None]
+#: Cofactor (i, j) of a 3 x 3 matrix m, row-major, is
+#: m[K0]*m[K1] - m[K2]*m[K3] at the four flat positions K stacked here
+#: (rows i+1, i+2 and columns j+1, j+2, modulo 3).
+_COFACTOR_AT = np.array(
+    [
+        [3 * ((i + p) % 3) + (j + q) % 3 for i in range(3) for j in range(3)]
+        for p, q in ((1, 1), (2, 2), (1, 2), (2, 1))
+    ]
+).ravel()
+#: Relative rounding error e of a Bezout entry against its size, with
+#: room for every later rounding (derived in _eliminant_roots), and the
+#: weights of the error bound: |B| and b (rows) against |C|, P(|B|) and
+#: P(b) (columns).
+_ENTRY_ERR = 32 * (np.finfo(float).eps / 2)
+_ERR_WEIGHTS = np.array(
+    [
+        [0.0, _ENTRY_ERR / 3.0, _ENTRY_ERR**2],
+        [_ENTRY_ERR, _ENTRY_ERR**2, _ENTRY_ERR**3 / 3.0],
+    ]
+)[:, :, None]
+
+
+def _resultant_at_nodes(f, g):
+    """The resultant in y of ``f`` and ``g``, each scaled by its largest
+    coefficient, at the Chebyshev nodes, and a bound on the rounding
+    error of each value (see :func:`_eliminant_roots`)."""
+    # [power of x, (f, g, |f|, |g|), power of y]; power 4 stays zero
+    h = np.zeros((4, 4, 5))
+    h[: f.shape[0], 0, : f.shape[1]] = f
+    h[: g.shape[0], 1, : g.shape[1]] = g
+    cols = np.flatnonzero(h[:, :2].any(axis=(0, 1)))
+    n = cols[-1] if cols.size else 0
+    if n == 0:
+        raise RuntimeError("gradient numerators do not depend on the second power")
+    h[:, :2] /= np.abs(h[:, :2]).max(axis=(0, 2))[:, None]
+    h[:, 2:] = np.abs(h[:, :2])
+    v = (_POWERS * h).sum(axis=1)  # f, g, |f|, |g| in y at every node
+    terms = v[:, 0::2, :, None] * v[:, 1::2, None, :]
+    terms += _TERM_SIGN * terms.swapaxes(2, 3)
+    at, pad = _BEZOUT[n]
+    # the Bezout entries B and their sizes b, flat, at every node
+    entries = terms.reshape(-1, 2, 25)[..., at].sum(axis=3)
+    entries[:, 0] += pad
+    x = entries[..., _COFACTOR_AT].reshape(-1, 2, 4, 9)
+    one, two = x[:, :, 0] * x[:, :, 1], x[:, :, 2] * x[:, :, 3]
+    cof = one[:, 0] - two[:, 0]
+    value = (entries[:, 0, :3] * cof[:, :3]).sum(axis=1)
+    # |C|, P(|B|) and P(b), weighed against |B| and b
+    bounds = np.stack(
+        (np.abs(cof), np.abs(one[:, 0]) + np.abs(two[:, 0]), one[:, 1] + two[:, 1]), axis=1
+    )
+    err = (_ERR_WEIGHTS * np.abs(entries)[:, :, None] * bounds[:, None]).sum(axis=(1, 2, 3))
+    return value, err
 
 
 def _eliminant_roots(f, g):
     """Real roots in [0, 1] of the resultant in y of two bivariate cubics.
 
     The resultant is the determinant of the Bezout matrix of ``f`` and
-    ``g`` as polynomials in y, whose size is their larger y-degree (at
+    ``g`` as polynomials in y, whose size n is their larger y-degree (at
     most 3), so it has degree at most 9 in x.  It is evaluated at ten
     Chebyshev points, turned into a Chebyshev series on [0, 1] and
-    solved with the colleague matrix.  Coefficients below the rounding
-    error of the evaluation are dropped; if none is left the two
+    solved with the colleague matrix.  The nodes' powers 0..3 (a fixed
+    Vandermonde matrix) give, at every node, the coefficients in y of
+    both polynomials (each scaled by its largest coefficient) and their
+    sizes (the same sums over the coefficients' absolute values).  Their
+    pairwise products give the Bezout terms f_a*g_b - f_b*g_a and the
+    terms' sizes, and fixed index arrays sum them into the entries B_ij
+    and the entries' sizes b_ij.  No matrix-matrix product is taken: the
+    first one would map the BLAS work buffer into a process that
+    otherwise never needs it.  A Bezout matrix smaller than 3 x 3 is
+    padded with the identity, and the determinant is expanded by the
+    cofactors C_ij.
+
+    Coefficients below the rounding error of the evaluation are dropped.
+    With u the unit roundoff, each value in y is off by at most 7u of
+    its size (the scaling, the nodes' powers, the four-term sum), so each
+    computed entry is off by at most e*b_ij with e = 18u (two such
+    errors per product, the product, the difference and the sum of up to
+    three terms).  The determinant is multilinear, so with P the cofactors
+    with every sign taken as +,
+
+        |det B - det B_exact| <= e * sum |C_ij| b_ij
+                                 + e^2 * sum (|B_ij| P(b)_ij + P(|B|)_ij b_ij)
+                                 + e^3 * perm(b)
+                                 + 15u * perm(|B|),
+
+    where P(|B|) b also covers the rounding of the cofactors, and the
+    last term that of the expansion (5u) and of the Chebyshev fit (10u,
+    as |det B| <= perm(|B|)); a permanent is a third of sum m_ij P(m)_ij.
+    The first-order cofactor term rules, and it costs nothing extra: the
+    expansion computes the cofactors anyway.  When g11*g22 is close to
+    g12*g21 the entries cancel far below their sizes, and the cofactors
+    with them, while a bound from the sizes alone (Hadamard's) can exceed
+    the whole determinant.  The code takes e = 32u throughout, which
+    leaves room for the rounding of the bound itself and of the fit
+    matrix, and drops a Chebyshev coefficient when its size is at most
+    the |fit matrix| row times the nodes' bounds.  If none is left the two
     polynomials share a factor, their common zeros form a curve rather
     than points, and ``RuntimeError`` is raised.
     """
-    n = max(np.flatnonzero(f.any(axis=0))[-1], np.flatnonzero(g.any(axis=0))[-1])
-    if n == 0:
-        raise RuntimeError("gradient numerators do not depend on the second power")
-
-    def at_nodes(h):
-        vals = np.zeros((_NODES.size, n + 1))
-        cols = min(h.shape[1], n + 1)
-        vals[:, :cols] = _in_x(h[:, :cols] / np.abs(h).max(), _NODES[:, None])
-        return vals
-
-    fv, gv = at_nodes(f), at_nodes(g)
-    bez = np.zeros((n, n, _NODES.size))
-    bound = np.zeros((n, n, _NODES.size))
-    for i in range(n):
-        for j in range(n):
-            for k in range(min(i, n - 1 - j) + 1):
-                one = fv[:, i - k] * gv[:, j + k + 1]
-                two = fv[:, j + k + 1] * gv[:, i - k]
-                bez[i, j] += one - two
-                bound[i, j] += np.abs(one) + np.abs(two)
-    value = np.linalg.det(bez.transpose(2, 0, 1))
-    # Hadamard's bound on the determinant of the entries' sizes
-    scale = np.prod(np.linalg.norm(bound, axis=1), axis=0)
+    value, err = _resultant_at_nodes(f, g)
     coef = _CHEB_FIT @ value
-    coef[np.abs(coef) <= 256.0 * np.finfo(float).eps * scale.max()] = 0.0
-    coef = np.trim_zeros(coef, "b")
-    if coef.size == 0:
+    coef[np.abs(coef) <= _CHEB_FIT_ABS @ err] = 0.0
+    kept = np.flatnonzero(coef)
+    if kept.size == 0:
         raise RuntimeError("resultant of the gradient numerators vanishes identically")
-    if coef.size < 2:
+    if kept[-1] == 0:
         return []
-    roots = 0.5 * (np.polynomial.chebyshev.chebroots(coef) + 1.0)
-    return _in_unit_interval(roots)
+    roots = np.polynomial.chebyshev.chebroots(coef[: kept[-1] + 1])
+    return _in_unit_interval(0.5 * (roots + 1.0))
 
 
 def _in_unit_interval(roots):
-    keep = (
-        (np.abs(roots.imag) <= _IMAG_TOL)
-        & (roots.real >= -_DOMAIN_TOL)
-        & (roots.real <= 1.0 + _DOMAIN_TOL)
-    )
-    return [min(max(float(r), 0.0), 1.0) for r in roots.real[keep]]
+    """The real parts, clamped to [0, 1], of the roots within _IMAG_TOL
+    of the real axis and _DOMAIN_TOL of [0, 1]."""
+    return [
+        min(max(r.real, 0.0), 1.0)
+        for r in roots.tolist()
+        if abs(r.imag) <= _IMAG_TOL and -_DOMAIN_TOL <= r.real <= 1.0 + _DOMAIN_TOL
+    ]
+
+
+def _bracketed_root(c, lo, hi, p_lo, p_hi):
+    """The root of the cubic with coefficients ``c`` (lowest degree
+    first) that changes sign once on [lo, hi], from the secant point:
+    Newton steps inside a shrinking bracket, bisecting whenever a step
+    would leave it."""
+    c0, c1, c2, c3 = c
+    negative_at_lo = p_lo < 0.0
+    x = lo - p_lo * (hi - lo) / (p_hi - p_lo)
+    for _ in range(_ROOT_STEPS):
+        px = ((c3 * x + c2) * x + c1) * x + c0
+        if px == 0.0:
+            return x
+        if (px < 0.0) == negative_at_lo:
+            lo = x
+        else:
+            hi = x
+        dpx = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        step = px / dpx if dpx != 0.0 else math.inf
+        if abs(step) <= _ROOT_XTOL:
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return x
 
 
 def _real_roots(coef):
-    """Real roots in [0, 1] of a polynomial given lowest degree first."""
-    return _in_unit_interval(np.roots(coef[::-1]))
+    """Real roots in [0, 1] of a polynomial of degree at most 3 given
+    lowest degree first: what ``np.roots`` followed by
+    :func:`_in_unit_interval` reports, on Python floats.
+
+    As in ``np.roots``, zero coefficients of the highest degrees are
+    dropped and each zero coefficient of the lowest degrees is a root
+    at 0.  The turning points cut [-2 _DOMAIN_TOL, 1 + 2 _DOMAIN_TOL]
+    into monotone pieces, and each sign change on a piece is refined by
+    safeguarded Newton.  A turning point t where the two roots next to
+    it, a complex pair or a close real pair, lie within _IMAG_TOL of it
+    (|2 p(t) / p''(t)| <= _IMAG_TOL^2, exact for a quadratic) is a root
+    too: there ``np.roots`` may find a pair with real part t.  The roots
+    within _DOMAIN_TOL of [0, 1] are kept and clamped to it; searching
+    the wider range finds a root at an end by a sign change.
+    """
+    coef = list(coef)
+    while coef and coef[-1] == 0.0:
+        coef.pop()
+    if not coef:
+        return []
+    zeros = 0
+    while coef[zeros] == 0.0:
+        zeros += 1
+    degree = len(coef) - 1 - zeros
+    c = coef[zeros:] + [0.0] * (3 - degree)
+    c0, c1, c2, c3 = c
+    roots = []
+    if degree == 1:
+        roots.append(-c0 / c1)
+    elif degree > 1:
+        if degree == 2:
+            turning = [-c1 / (2.0 * c2)]
+        else:
+            disc = c2 * c2 - 3.0 * c1 * c3
+            turning = []
+            if disc >= 0.0:
+                q = -(c2 + math.copysign(math.sqrt(disc), c2))
+                turning = sorted((q / (3.0 * c3), c1 / q)) if q else [0.0]
+        lo, hi = -2.0 * _DOMAIN_TOL, 1.0 + 2.0 * _DOMAIN_TOL
+        ends = [lo] + [t for t in turning if lo < t < hi] + [hi]
+        vals = [((c3 * t + c2) * t + c1) * t + c0 for t in ends]
+        for k, (t, v) in enumerate(zip(ends, vals)):
+            if k and min(v, vals[k - 1]) < 0.0 < max(v, vals[k - 1]):
+                roots.append(_bracketed_root(c, ends[k - 1], t, vals[k - 1], v))
+            if v == 0.0 or (
+                0 < k < len(ends) - 1
+                and 2.0 * abs(v) <= abs(6.0 * c3 * t + 2.0 * c2) * _IMAG_TOL**2
+            ):
+                roots.append(t)
+    keep = [r for r in roots if -_DOMAIN_TOL <= r <= 1.0 + _DOMAIN_TOL]
+    return [min(max(r, 0.0), 1.0) for r in keep] + [0.0] * zeros
 
 
 def _in_x(grid, x):
-    """Coefficients in y of a bivariate polynomial with x fixed."""
-    return np.polyval(grid[::-1], x)
+    """Coefficients in y of a bivariate polynomial with x fixed, by
+    Horner's rule on Python floats (``grid`` as nested lists, rows
+    indexed by the power of x)."""
+    out = grid[-1]
+    for row in grid[-2::-1]:
+        out = [o * x + r for o, r in zip(out, row)]
+    return out
 
 
 def _newton_polish(par, p1, p2, hi, free):
@@ -358,6 +546,7 @@ def stationary_solve(
     c = (g11 * scale[0] / n1, g12 * scale[1] / n1, g21 * scale[0] / n2, g22 * scale[1] / n2)
     if capped or interior:
         num1, num2 = _gradient_numerators(c, a[0], a[1], l1 * scale[0], l2 * scale[1])
+        rows1, rows2 = num1.tolist(), num2.tolist()
 
     def add(q1, q2, free):
         p1, p2 = q1 * scale[0], q2 * scale[1]
@@ -367,14 +556,15 @@ def stationary_solve(
             cands.append(polished)
 
     if capped:
+        cols1 = num1.T.tolist()
         for edge in (0.0, 1.0):
-            for q1 in _real_roots(_in_x(num1.T, edge)):
+            for q1 in _real_roots(_in_x(cols1, edge)):
                 add(q1, edge, (True, False))
-            for q2 in _real_roots(_in_x(num2, edge)):
+            for q2 in _real_roots(_in_x(rows2, edge)):
                 add(edge, q2, (False, True))
     if interior:
         for q1 in _eliminant_roots(num1, num2):
-            ys = _real_roots(_in_x(num1, q1)) + _real_roots(_in_x(num2, q1))
+            ys = _real_roots(_in_x(rows1, q1)) + _real_roots(_in_x(rows2, q1))
             for q2 in dict.fromkeys(ys):
                 add(q1, q2, (True, True))
 

@@ -18,8 +18,8 @@ bound, and the duals of its rate and power rows are the next trial
 (mu, lambda) (Dantzig-Wolfe column generation).  A new cut appends one
 column, so each iteration resumes the simplex from the previous optimal
 basis.  The time-sharing weights are recovered from the same master
-over the accumulated cuts; its vertex structure activates at most four
-strategies.
+over the accumulated cuts, again from the loop's last basis; its vertex
+structure activates at most four strategies.
 """
 
 from __future__ import annotations
@@ -107,6 +107,9 @@ class CuttingPlaneResult:
     status: str  # "converged" | "stalled" | "max-cuts"
     lower_history: tuple[float, ...] = ()  # relaxation value per iteration
     upper_history: tuple[float, ...] = ()  # running best dual bound
+    #: optimal basis of the last master solve, a warm start for the
+    #: recovery over ``cuts`` (None for the closed-form endpoints)
+    basis: tuple[int, ...] | None = None
 
     @property
     def converged(self) -> bool:
@@ -276,6 +279,7 @@ def cutting_plane(
         status=status,
         lower_history=tuple(lower_history),
         upper_history=tuple(upper_history),
+        basis=basis,
     )
 
 
@@ -284,6 +288,7 @@ def primal_recover(
     cuts: tuple[Cut, ...] | list[Cut],
     budget: PowerBudget,
     profile: RateProfile,
+    start: tuple[int, ...] | None = None,
 ) -> TimeSharingSolution:
     """Optimal time-sharing weights over the generated power vectors.
 
@@ -291,12 +296,15 @@ def primal_recover(
     rates at least rho_k * R, average powers within budget and weights
     on the simplex.  The LP has five rows, so its vertex solution
     activates at most four strategies; weights below 1e-9 are pruned.
+    ``start`` is a basis of the master over a prefix of ``cuts``, such as
+    ``CuttingPlaneResult.basis``; the simplex resumes from it when it is
+    still feasible (see :func:`~tinregions.lp.lp_solve`).
     """
     cuts = list(cuts)
     if not cuts:
         raise ValueError("cannot recover a solution from an empty cut list")
     rho1, rho2 = profile.rho
-    sol = lp_solve(master_lp(cuts, budget, profile))
+    sol = lp_solve(master_lp(cuts, budget, profile), start=start)
     if sol.status != "optimal":
         raise RuntimeError(f"primal recovery LP reported {sol.status}")
     taus = sol.primal[1:]
@@ -326,7 +334,7 @@ def ts_point(
     """One point of the time-sharing boundary: run the cutting-plane loop
     and recover the primal mixture from its cuts."""
     cp = cutting_plane(ch, budget, profile, cfg, initial_cuts=initial_cuts)
-    solution = primal_recover(ch, cp.cuts, budget, profile)
+    solution = primal_recover(ch, cp.cuts, budget, profile, start=cp.basis)
     if cp.converged and abs(cp.upper - solution.R) > 2.0 * cfg.epsilon_cp:
         raise RuntimeError(
             f"duality gap violation: recovered {solution.R}, dual bound {cp.upper}"

@@ -1,6 +1,9 @@
 import heapq
 import math
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,12 +11,22 @@ from tinregions import (
     ChannelRealization,
     DualPoint,
     InnerResult,
+    OuterConfig,
+    PowerBudget,
+    RateProfile,
     inner_objective,
     proper_rates,
     stationary_solve,
+    ts_point,
     ts_sweep,
 )
 from tinregions import inner, outer
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import family  # noqa: E402
 from tinregions.inner import LAMBDA_FLOOR, _f, _params, _single_user_max
 
 LN2 = math.log(2.0)
@@ -179,6 +192,54 @@ def box_bounds(ch, dual, a, b):
     """The reference's upper bound and achieved value on the box [a, b]."""
     par = _params(ch, dual)
     return _tight_upper(par, a[0], a[1], b[0], b[1]), _f(par, a[0], a[1])
+
+
+# ----------------------------------------------- gradient numerator reference
+#
+# The gradient numerators built by multiplying out their factors: the
+# reference for the closed-form coefficients of inner._gradient_numerators.
+
+
+def _affine(c0, c1, c2):
+    """Bivariate polynomial c0 + c1*x + c2*y as a coefficient grid."""
+    return np.array([[c0, c2], [c1, 0.0]])
+
+
+def _mul(*polys):
+    """Product of bivariate polynomials (grids indexed [x power, y power])."""
+    out = polys[0]
+    for b in polys[1:]:
+        res = np.zeros((out.shape[0] + b.shape[0] - 1, out.shape[1] + b.shape[1] - 1))
+        for i, j in zip(*np.nonzero(b)):
+            res[i : i + out.shape[0], j : j + out.shape[1]] += b[i, j] * out
+        out = res
+    return out
+
+
+def _add(*polys):
+    shape = tuple(max(p.shape[k] for p in polys) for k in range(2))
+    out = np.zeros(shape)
+    for p in polys:
+        out[: p.shape[0], : p.shape[1]] += p
+    return out
+
+
+def reference_numerators(c, a1, a2, l1, l2, sizes=False):
+    """(N1, N2) as sums of products of their affine factors, padded to
+    4 x 4.  With ``sizes`` every term is added with a + sign (all
+    arguments >= 0), which gives each coefficient's size."""
+    c11, c12, c21, c22 = c
+    s1, i1 = _affine(1.0, c11, c12), _affine(1.0, 0.0, c12)
+    s2, i2 = _affine(1.0, c21, c22), _affine(1.0, c21, 0.0)
+    x, y = _affine(0.0, 1.0, 0.0), _affine(0.0, 0.0, 1.0)
+    sign = 1.0 if sizes else -1.0
+    n1 = _add(
+        a1 * c11 * _mul(s2, i2), sign * a2 * c21 * c22 * _mul(y, s1), sign * l1 * _mul(s1, s2, i2)
+    )
+    n2 = _add(
+        sign * a1 * c12 * c11 * _mul(x, s2), a2 * c22 * _mul(s1, i1), sign * l2 * _mul(s1, i1, s2)
+    )
+    return tuple(_add(np.zeros((4, 4)), n) for n in (n1, n2))
 
 
 # -------------------------------------------------------------------------
@@ -440,27 +501,35 @@ def lipschitz(ch, dual):
     )
 
 
+def recorded(module, name, run):
+    """Run ``run()`` with ``module.name`` wrapped to record the
+    positional arguments of every call; returns the result and the
+    calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    setattr(module, name, record)
+    try:
+        return run(), calls
+    finally:
+        setattr(module, name, original)
+
+
 def sweep_duals(ch, budget, count, seed):
     """A seeded subset of the duals (with power caps) that the
     101-profile ts-proper sweep hands to the inner oracle."""
-    seen = []
-
-    def record(ch, dual, power_cap):
-        seen.append((dual, power_cap))
-        return stationary_solve(ch, dual, power_cap)
-
-    original = outer.bnb_solve
-    outer.bnb_solve = record
-    try:
-        ts_sweep(ch, budget, np.linspace(0.0, 1.0, 101))
-    finally:
-        outer.bnb_solve = original
+    betas = np.linspace(0.0, 1.0, 101)
+    _, calls = recorded(outer, "bnb_solve", lambda: ts_sweep(ch, budget, betas))
     rng = np.random.default_rng(seed)
-    return [seen[i] for i in sorted(rng.choice(len(seen), count, replace=False))]
+    return [calls[i][1:] for i in sorted(rng.choice(len(calls), count, replace=False))]
 
 
-def assert_matches_bnb(ch, dual, power_cap=1e4):
-    ref = bnb_solve(ch, dual, power_cap)
+def assert_matches_bnb(ch, dual, power_cap=1e4, ref=None):
+    ref = bnb_solve(ch, dual, power_cap) if ref is None else ref
     assert ref.converged
     res = stationary_solve(ch, dual, power_cap)
     assert res.capped == ref.capped
@@ -468,6 +537,16 @@ def assert_matches_bnb(ch, dual, power_cap=1e4):
     # certified bound (both up to rounding)
     assert ref.value - res.gap - 1e-12 <= res.value <= ref.value + ref.gap + 1e-12, (dual, res, ref)
     return res
+
+
+def assert_matches_reference(ch, dual, power_cap=1e4, max_iterations=10_000):
+    """:func:`assert_matches_bnb` where branch and bound converges within
+    ``max_iterations`` boxes, else :func:`assert_matches_grid`."""
+    ref = bnb_solve(ch, dual, power_cap, max_iterations=max_iterations)
+    if ref.converged:
+        assert_matches_bnb(ch, dual, power_cap, ref)
+    else:
+        assert_matches_grid(ch, dual)
 
 
 def assert_matches_grid(ch, dual, points=400):
@@ -552,24 +631,24 @@ class TestStationarySolve:
 class TestEliminant:
     def test_roots_of_a_linear_system(self):
         # y - x = 0 and x + y - 1 = 0 meet at x = 0.5
-        f = inner._affine(0.0, -1.0, 1.0)
-        g = inner._affine(-1.0, 1.0, 1.0)
+        f = _affine(0.0, -1.0, 1.0)
+        g = _affine(-1.0, 1.0, 1.0)
         assert inner._eliminant_roots(f, g) == pytest.approx([0.5], abs=1e-12)
 
     def test_common_factor_raises(self):
-        common = inner._affine(1.0, 2.0, 3.0)
-        f = inner._mul(common, inner._affine(0.5, -1.0, 1.0))
-        g = inner._mul(common, inner._affine(2.0, 1.0, -1.0), inner._affine(1.0, 0.0, 1.0))
+        common = _affine(1.0, 2.0, 3.0)
+        f = _mul(common, _affine(0.5, -1.0, 1.0))
+        g = _mul(common, _affine(2.0, 1.0, -1.0), _affine(1.0, 0.0, 1.0))
         with pytest.raises(RuntimeError, match="vanishes identically"):
             inner._eliminant_roots(f, g)
 
     def test_vanishing_resultant_never_returns_a_value(self, sec6, monkeypatch):
-        common = inner._affine(1.0, 2.0, 3.0)
+        common = _affine(1.0, 2.0, 3.0)
 
         def shared_factor(c, a1, a2, l1, l2):
             return (
-                inner._mul(common, inner._affine(0.5, -1.0, 1.0)),
-                inner._mul(common, inner._affine(2.0, 1.0, -1.0)),
+                _mul(common, _affine(0.5, -1.0, 1.0)),
+                _mul(common, _affine(2.0, 1.0, -1.0)),
             )
 
         monkeypatch.setattr(inner, "_gradient_numerators", shared_factor)
@@ -620,3 +699,228 @@ class TestOracleGate:
             ch = weak_channel(seed, snr_db, below_db)
         for dual in criterion7_duals()[:12]:
             assert_matches_grid(ch, dual)
+
+
+class TestGradientNumerators:
+    def test_closed_form_matches_products(self):
+        # every coefficient within 1e-14 of the sum of its terms' sizes
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            c = 10.0 ** rng.uniform(-3.0, 4.0, 4)
+            a1, a2, l1, l2 = 10.0 ** rng.uniform(-3.0, 4.0, 4)
+            got = inner._gradient_numerators(tuple(c), a1, a2, l1, l2)
+            want = reference_numerators(c, a1, a2, l1, l2)
+            size = reference_numerators(c, a1, a2, l1, l2, sizes=True)
+            for g, w, sz in zip(got, want, size):
+                assert g.shape == (4, 4)
+                assert np.all(np.abs(g - w) <= 1e-14 * sz), (c, a1, a2, l1, l2)
+
+
+def np_candidates(coef):
+    """What the oracle took from ``np.roots`` for a polynomial given
+    lowest degree first."""
+    return inner._in_unit_interval(np.roots(np.asarray(coef, dtype=float)[::-1]))
+
+
+def assert_partners(want, got, tol):
+    """Every root in ``want`` has one in ``got`` within ``tol``."""
+    for r in want:
+        assert min((abs(r - q) for q in got), default=math.inf) <= tol, (want, got)
+
+
+@pytest.fixture(scope="module")
+def oracle_polynomials(sec6, budget10):
+    """Every polynomial the sec6 ts-proper sweep and one round of the
+    benchmark's channel family (seed 1) hand to ``_real_roots``."""
+
+    def run():
+        ts_sweep(sec6, budget10, np.linspace(0.0, 1.0, 101))
+        for m in family(1):
+            ts_point(m.ch, PowerBudget(*m.P), RateProfile(m.beta))
+
+    return [list(args[0]) for args in recorded(inner, "_real_roots", run)[1]]
+
+
+def cubic(*roots):
+    """Coefficients, lowest degree first, of the monic polynomial with
+    these roots."""
+    return list(np.polynomial.polynomial.polyfromroots(roots))
+
+
+def with_pair(real, re, im):
+    """(x - real) * ((x - re)^2 + im^2), lowest degree first."""
+    pair = [re * re + im * im, -2.0 * re, 1.0]
+    return list(np.polynomial.polynomial.polymul([-real, 1.0], pair))
+
+
+class TestRealRoots:
+    """The float root routine reports what ``np.roots`` followed by
+    ``_in_unit_interval`` reported."""
+
+    def test_oracle_polynomials(self, oracle_polynomials):
+        assert len(oracle_polynomials) > 2000
+        for coef in oracle_polynomials:
+            want, got = np_candidates(coef), inner._real_roots(coef)
+            assert_partners(want, got, 1e-9)
+            assert_partners(got, want, 1e-9)
+
+    @pytest.mark.parametrize(
+        "coef",
+        [
+            cubic(0.2, 0.7, 3.0),
+            cubic(0.75, 0.75),  # double root: np.roots finds a pair at 0.75 +- 9e-9 i
+            with_pair(2.0, 0.3, 0.99e-5),
+            with_pair(-1.0, 0.6, 0.99e-5),
+            [0.25 + 0.99e-10, -1.0, 1.0],
+            [0.5, -1.5, 1.0, 1e-30],
+            [0.5, -1.5, 1.0, 0.0],
+            [0.0, -1.5, 1.0, 2.0],
+            [0.0, 0.0, 1.0, -1.0],
+            cubic(0.0, 1.0, 0.4),
+            cubic(1.0, -2.0, 5.0),
+            cubic(-inner._DOMAIN_TOL, 0.5, 2.0),
+            cubic(inner._DOMAIN_TOL, 0.5, 2.0),
+            cubic(1.0 + inner._DOMAIN_TOL, -0.5, 2.0),
+            [inner._DOMAIN_TOL, 1.0],
+            [-inner._DOMAIN_TOL, 1.0],
+            [-1.0 - inner._DOMAIN_TOL, 1.0],
+            cubic(-3.0 * inner._DOMAIN_TOL, 1.0 + 3.0 * inner._DOMAIN_TOL, 4.0),
+        ],
+    )
+    def test_adversarial(self, coef):
+        # a root on an end of the range may be kept by one and dropped by
+        # the other, as rounding puts it on either side; a kept root
+        # only costs the oracle one candidate
+        assert_partners(np_candidates(coef), inner._real_roots(coef), 1e-9)
+
+    @pytest.mark.parametrize("coef", [with_pair(2.0, 0.3, 1.01e-5), [0.25 + 1.01e-10, -1.0, 1.0]])
+    def test_pair_above_imaginary_tolerance(self, coef):
+        assert np_candidates(coef) == []
+        assert inner._real_roots(coef) == []
+
+    def test_double_root_of_a_cubic(self):
+        # np.roots splits the double root at 0.5 into two real roots
+        # 1.3e-8 apart, which is its accuracy there (the square root of
+        # the rounding unit); the routine reports the turning point
+        coef = cubic(0.5, 0.5, 2.0)
+        assert inner._real_roots(coef) == [0.5]
+        assert_partners(np_candidates(coef), [0.5], 2e-8)
+
+    def test_tiny_leading_coefficient(self):
+        # at 1e-300 the companion matrix's norm is 1e300 and np.roots
+        # loses the two roots in range; the routine keeps them
+        coef = [0.5, -1.5, 1.0, 1e-300]
+        assert inner._real_roots(coef) == pytest.approx([0.5, 1.0], abs=1e-15)
+        assert inner._real_roots(coef) == inner._real_roots(coef[:3])
+
+
+def exact_resultant(f, g):
+    """The resultant in y of ``f`` and ``g``, each scaled by its largest
+    coefficient, at the oracle's nodes, in 60-digit arithmetic."""
+    n = max(np.flatnonzero(f.any(axis=0))[-1], np.flatnonzero(g.any(axis=0))[-1])
+    out = []
+    with mpmath.workdps(60):
+        scale = (mpmath.mpf(np.abs(f).max()) * mpmath.mpf(np.abs(g).max())) ** n
+        for x in inner._NODES:
+            x = mpmath.mpf(x)
+
+            def in_y(h):
+                return [
+                    mpmath.fsum(mpmath.mpf(h[i, j]) * x**i for i in range(h.shape[0]))
+                    for j in range(n + 1)
+                ]
+
+            fy, gy = in_y(f), in_y(g)
+            bez = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    for k in range(min(i, n - 1 - j) + 1):
+                        bez[i, j] += fy[i - k] * gy[j + k + 1] - fy[j + k + 1] * gy[i - k]
+            out.append(mpmath.det(bez) / scale)
+    return out
+
+
+def assert_bound_holds(calls):
+    for f, g in calls:
+        value, err = inner._resultant_at_nodes(f, g)
+        for v, e, exact in zip(value, err, exact_resultant(f, g)):
+            assert abs(mpmath.mpf(v) - exact) <= e, (f, g)
+
+
+# Members of the benchmark's seeded channel family on which the oracle
+# raised "resultant of the gradient numerators vanishes identically"
+# under a Hadamard rounding bound: (channel, beta, the dual it raised
+# at).  P = (10, 10), power cap 1e4.
+SEED19_MODERATE = (
+    ChannelRealization(
+        complex(-0.25827582397953663, 0.18520496453316573),
+        complex(0.2319060528713153, -0.2146445361809663),
+        complex(0.20837825168526403, 0.23751937128623554),
+        complex(0.08984227219902503, -0.30085134591410384),
+        1.0,
+        1.0,
+    ),
+    0.30100937783454274,
+    DualPoint(0.9991748661476394, 1.0003553309867874, 0.0009379653843750796, 0.04605718730698037),
+)
+SEED15_REAL = (
+    ChannelRealization(
+        9.888924120376545, -9.829986361392262, -10.140746419658711, 10.088186835252593, 1.0, 1.0
+    ),
+    0.4992942082073994,
+    DualPoint(0.1128001725083799, 1.8846986446936402, 4.527882001769055e-05, 0.03789975838393902),
+)
+NEAR_SINGULAR = pytest.mark.parametrize(
+    "case",
+    [SEED19_MODERATE, SEED15_REAL],
+    ids=["seed19-snr0-moderate", "seed15-snr30-moderate-real"],
+)
+
+
+class TestNearSingularChannels:
+    """g11*g22 close to g12*g21: the Bezout entries cancel far below
+    their sizes, and the resultant with them."""
+
+    @NEAR_SINGULAR
+    def test_oracle_matches_bnb_where_it_raised(self, case):
+        ch, _, dual = case
+        assert_matches_bnb(ch, dual, 1e4)
+
+    @NEAR_SINGULAR
+    def test_ts_point_converges(self, case):
+        ch, beta, _ = case
+        solution, cp = ts_point(ch, PowerBudget(10.0, 10.0), RateProfile(beta))
+        assert cp.status == "converged"
+        assert abs(solution.R - cp.upper) <= 2.0 * OuterConfig().epsilon_cp
+
+
+class TestResultantRoundingBound:
+    """Every float64 resultant value at a node lies within its bound of
+    a 60-digit evaluation of the same scaled polynomials."""
+
+    @NEAR_SINGULAR
+    def test_failing_duals(self, case):
+        ch, beta, dual = case
+
+        def run():
+            stationary_solve(ch, dual, 1e4)
+            ts_point(ch, PowerBudget(10.0, 10.0), RateProfile(beta))
+
+        calls = recorded(inner, "_eliminant_roots", run)[1]
+        assert len(calls) > 10
+        assert_bound_holds(calls)
+
+    def test_seeded_near_singular_channels(self):
+        rng = np.random.default_rng(41)
+        calls = []
+        for _ in range(12):
+            g11, g12, g22 = 10.0 ** rng.uniform(-2.0, 3.0, 3)
+            # |g11*g22 - g12*g21| / (g11*g22) from 1e-8 to 1e-2
+            g21 = g11 * g22 * (1.0 - 10.0 ** rng.uniform(-8.0, -2.0)) / g12
+            h = np.sqrt([g11, g12, g21, g22]) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 4))
+            ch = ChannelRealization(*(complex(x) for x in h), 1.0, 1.0)
+            for _ in range(3):
+                dual = DualPoint(*rng.uniform(0.05, 2.0, 2), *(10.0 ** rng.uniform(-4.0, 0.0, 2)))
+                calls += recorded(inner, "_eliminant_roots", lambda: stationary_solve(ch, dual))[1]
+        assert len(calls) > 20
+        assert_bound_holds(calls)

@@ -22,6 +22,7 @@ from tinregions import (
 )
 from tinregions import lp as lp_module
 from tinregions import outer
+from test_inner import assert_matches_reference, recorded
 
 GREATER = ">="
 EQUAL = "="
@@ -267,6 +268,27 @@ class TestPrimalRecover:
         assert avg_r.r2 >= 0.5 * sol.R - 1e-7
         assert len(sol.strategies) <= 4
 
+    def test_warm_start_from_the_loop_basis(self, sec6, budget10, monkeypatch):
+        # the final cut only appends a column, so the loop's last master
+        # basis is still feasible: phase 1 is skipped and the recovered
+        # mixture is the cold one, bit for bit
+        starts = []
+        warm_basis = lp_module._warm_basis
+
+        def record(*args):
+            starts.append(warm_basis(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(lp_module, "_warm_basis", record)
+        for beta in (0.2, 0.5, 0.85):
+            profile = RateProfile(beta)
+            cp = cutting_plane(sec6, budget10, profile)
+            starts.clear()
+            warm = primal_recover(sec6, cp.cuts, budget10, profile, start=cp.basis)
+            assert len(starts) == 1 and starts[0] is not None
+            assert warm == primal_recover(sec6, cp.cuts, budget10, profile)
+        assert cutting_plane(sec6, budget10, RateProfile(1.0)).basis is None
+
     def test_rates_consistent_with_power_vectors(self, sec6, budget10):
         cp = cutting_plane(sec6, budget10, RateProfile(0.35))
         sol = primal_recover(sec6, cp.cuts, budget10, RateProfile(0.35))
@@ -377,35 +399,48 @@ class TestWeakInterference:
 
 
 class TestOracleDefects:
-    """Channels on which the stationary-point oracle fails today (unit
-    noise).  They stay expected failures until the oracle handles them."""
+    """Channels on which the stationary-point oracle failed (unit noise).
+    A rounding bound from Hadamard's inequality zeroed the resultant's
+    Chebyshev coefficients: all of them on the weak channel ("vanishes
+    identically"), and some of them at the missed interior maximum,
+    which moved the roots.  The cofactor bound mends both; the
+    symmetric channel's numerators share an exact factor."""
 
     @staticmethod
     def solve(h, P, beta):
         return ts_point(ChannelRealization(*h, 1.0, 1.0), PowerBudget(*P), RateProfile(beta))
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeError,
-                       reason="gradient numerators share a factor; the resultant vanishes")
+    @staticmethod
+    def assert_certified(h, P, beta):
+        """``ts_point`` converges within 2 epsilon_cp of its dual bound,
+        and every dual the oracle sees matches the references."""
+        ch = ChannelRealization(*h, 1.0, 1.0)
+        (solution, cp), calls = recorded(
+            outer, "bnb_solve", lambda: TestOracleDefects.solve(h, P, beta)
+        )
+        assert cp.status == "converged"
+        assert abs(solution.R - cp.upper) <= 2.0 * OuterConfig().epsilon_cp
+        for _, dual, power_cap in calls:
+            assert_matches_reference(ch, dual, power_cap)
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="exact common factor")
     def test_symmetric_channel(self):
         # both receivers see the same total power
         self.solve((1.0, 1.0, 1.0, 1.0), (10.0, 10.0), 0.5)
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeError,
-                       reason="an interior maximum is missed, so upper is no certificate")
     def test_missed_interior_maximum(self):
         # at mu = (0.2283, 1.0857), lambda = (6.05e-5, 0.2387) the oracle
-        # returns the axis point (0, 6.036) (value 2.51126, gap 0) while a
+        # returned the axis point (0, 6.036) (value 2.51126, gap 0) while a
         # grid finds 2.51219 near p = (0.21, 5.95): "duality gap violation"
-        self.solve(
+        self.assert_certified(
             (1.0, 0.4358719194895653, 0.31622776601683794, 1.3783480336965628),
             (10.0, 5.263591997033746),
             0.1,
         )
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeError,
-                       reason="the resultant vanishes on a weak channel at -10 dB")
     def test_weak_channel_at_minus_10_db(self):
-        self.solve(
+        # the resultant "vanished identically"
+        self.assert_certified(
             (0.1, 0.05062704968667979, 0.03162277660168379, 0.16009678822442205),
             (10.0, 3.901528297335133),
             0.1,
