@@ -3,7 +3,7 @@ two-user interference channel.
 
 Traces four boundaries at SNR 10 dB (P1 = P2 = 10, unit noise):
 
-* pure proper strategies (grid + refinement per profile),
+* pure proper strategies (one user at full power, balanced on that edge),
 * the convex hull of the pure proper boundary,
 * coded time-sharing with proper signals (cutting-plane solver),
 * the convex hull of sampled improper strategies.
@@ -22,13 +22,11 @@ import numpy as np
 
 from tinregions import (
     PowerBudget,
+    RegionConfig,
     SamplingConfig,
     example_channel,
-    pure_improper_samples,
     sweep_boundary,
-    upper_right_hull,
 )
-from tinregions.regions import _profile_value
 
 HERE = pathlib.Path(__file__).parent
 BETAS = np.linspace(0.0, 1.0, 41)
@@ -45,27 +43,17 @@ def main():
     ch = example_channel()
     budget = PowerBudget(10.0, 10.0)
     curves = {}
+    cfg = RegionConfig(
+        sampling=SamplingConfig(power_grid=31, fraction_grid=13, phase_grid=16, random_count=50_000)
+    )
 
-    for method in ("pure-proper", "hull-proper", "ts-proper"):
+    for method in ("pure-proper", "hull-proper", "ts-proper", "hull-improper"):
         t0 = time.perf_counter()
-        boundary = sweep_boundary(method, ch, budget, BETAS)
+        boundary = sweep_boundary(method, ch, budget, BETAS, cfg)
         rows = [(e.beta, e.rates.r1, e.rates.r2, e.R) for e in boundary.entries]
         curves[method] = np.array([[r[1], r[2]] for r in rows])
         write_csv(HERE / f"{method}.csv", rows)
         print(f"{method:13s}: {len(rows)} profiles in {time.perf_counter() - t0:.1f}s")
-
-    t0 = time.perf_counter()
-    sampling = SamplingConfig(power_grid=31, fraction_grid=13, phase_grid=16, random_count=50_000)
-    samples = pure_improper_samples(ch, budget, sampling)
-    hull = upper_right_hull(samples)
-    rows = []
-    for beta in BETAS:
-        rho = (beta, 1.0 - beta)
-        R = _profile_value(hull, rho)
-        rows.append((beta, R * rho[0], R * rho[1], R))
-    curves["hull-improper"] = np.array([[r[1], r[2]] for r in rows])
-    write_csv(HERE / "hull-improper.csv", rows)
-    print(f"hull-improper: {samples.shape[0]} samples hulled in {time.perf_counter() - t0:.1f}s")
 
     mid = len(BETAS) // 2
     print("\nbalanced rates at the symmetric profile:")

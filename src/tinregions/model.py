@@ -122,9 +122,6 @@ class RatePair:
     r1: float
     r2: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r1, self.r2])
-
 
 @dataclass(frozen=True)
 class RateProfile:

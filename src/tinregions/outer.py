@@ -143,9 +143,7 @@ def _master_dual(y: np.ndarray) -> DualPoint:
     return DualPoint(*[max(float(x), 0.0) for x in v])
 
 
-def achieved_dual_value(
-    ch: ChannelRealization, dual: DualPoint, budget: PowerBudget, cut: Cut
-) -> float:
+def achieved_dual_value(dual: DualPoint, budget: PowerBudget, cut: Cut) -> float:
     """Dual objective evaluated with the cut's power vector plugged in."""
     return (
         dual.lambda1 * budget.p1
@@ -250,7 +248,7 @@ def cutting_plane(
         new_cut = Cut(p_new, rate_pair_proper(ch, p_new), "capped" if res.capped else "stationary")
         # the achieved value plus the oracle's gap bounds the dual function
         # from above, so ``upper`` stays a certificate
-        evaluated.append((achieved_dual_value(ch, dual, budget, new_cut) + res.gap, dual))
+        evaluated.append((achieved_dual_value(dual, budget, new_cut) + res.gap, dual))
         upper = min(v for v, _ in evaluated)
         lower_history.append(lower)
         upper_history.append(upper)

@@ -4,16 +4,29 @@ Boundaries are traced by rate balancing: for a profile (beta, 1 - beta)
 the boundary point maximizes the common scale R of the per-user rate
 targets.  Four constructions are supported:
 
-* ``pure-proper``     one proper strategy, exhaustive power search;
+* ``pure-proper``     one proper strategy, balanced on a full-power edge;
 * ``hull-proper``     convex hull of the pure-proper boundary;
 * ``ts-proper``       coded time-sharing via the cutting-plane solver;
 * ``hull-improper``   convex hull of sampled improper strategies.
 
-The harnesses at the bottom check, by seeded random sampling, the two
-structural facts the time-sharing construction rests on: the phase-free
-rate upper bound (tight on the magnitude-only channel with aligned
-pseudovariance phases), and that no improper time-sharing mixture
-escapes the proper time-sharing region.
+Raising both powers by one factor raises both SINRs, so a Pareto-optimal
+single strategy has some user at full power (Charafeddine, Sezgin &
+Paulraj, Allerton 2007): the pure-proper search runs along the two
+full-power edges only.
+
+Proper signals suffice once time-sharing is coded.  With
+s_k = c_k + kappa_k and d_k = c_k - kappa_k, the phase-free upper bound
+on an improper strategy's rates is a two-slot proper mixture,
+
+    upper_bound_rates(c, kappa) = 1/2 r(d1, s2) + 1/2 r(s1, d2),
+
+with r the proper rates, and the two slots average to the powers c.  So
+every improper time-sharing pair is dominated by a proper one at the
+same average powers.  The harnesses at the bottom check, by seeded
+random sampling, the facts this rests on: the phase-free rate upper
+bound (tight on the magnitude-only channel with aligned pseudovariance
+phases), and that no improper time-sharing mixture escapes the proper
+time-sharing region.
 """
 
 from __future__ import annotations
@@ -40,8 +53,6 @@ from .model import (
     upper_bound_rates,
 )
 from .outer import CuttingPlaneResult, OuterConfig, TimeSharingSolution, ts_point
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 THEOREM1_TOL = 5e-3
 LEMMA1_BOUND_TOL = 1e-12
@@ -139,80 +150,61 @@ class BoundCheckReport:
         )
 
 
-def _balanced(r1, r2, rho1: float, rho2: float):
-    if rho1 > 0.0 and rho2 > 0.0:
-        return np.minimum(r1 / rho1, r2 / rho2)
-    if rho1 > 0.0:
-        return r1 / rho1
-    return r2 / rho2
-
-
-def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    while hi - lo > tol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = fun(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = fun(x2)
-    return 0.5 * (lo + hi)
-
-
 def pure_proper_point(
-    ch: ChannelRealization,
-    budget: PowerBudget,
-    profile: RateProfile,
-    grid: int = 201,
-    refine_tol: float = 1e-6,
+    ch: ChannelRealization, budget: PowerBudget, profile: RateProfile
 ) -> tuple[float, tuple[float, float]]:
     """Best single proper strategy for a rate profile.
 
-    Dense grid over the power rectangle followed by coordinate-wise
-    golden-section refinement around the best cell; with two variables
-    this is a defensible stand-in for a global solver.  Returns the
-    balanced rate value R and the power vector attaining it.
+    Returns the balanced value R = min(r1/rho1, r2/rho2) and the power
+    vector attaining it.  Some user is at full power in every
+    Pareto-optimal single strategy (module docstring), so the search
+    runs along the two full-power edges.  On the edge p_k = P_k,
+    user k's rate falls and user j's rises with p_j, so
+    rho_j r_k - rho_k r_j falls monotonically; the balanced value peaks
+    at its sign change, bisected down to adjacent floats, or at the far
+    end of the edge.  The better edge wins (the first on a tie).  A
+    profile with a zero weight gets the other user's single-user
+    intercept.
     """
-    rho1, rho2 = profile.rho
-    p1 = np.linspace(0.0, budget.p1, grid)
-    p2 = np.linspace(0.0, budget.p2, grid)
-    r1, r2 = proper_rates(ch, p1[:, None], p2[None, :])
-    val = _balanced(r1, r2, rho1, rho2)
-    i, j = divmod(int(np.argmax(val)), grid)
-    best = [float(p1[i]), float(p2[j])]
-    best_val = float(val[i, j])
+    rho = profile.rho
+    caps = (budget.p1, budget.p2)
 
-    def value_at(q1: float, q2: float) -> float:
-        rr1, rr2 = proper_rates(ch, q1, q2)
-        return float(_balanced(rr1, rr2, rho1, rho2))
+    def on_edge(k: int, t: float) -> tuple[float, float]:
+        return (caps[0], t) if k == 0 else (t, caps[1])
 
-    steps = [budget.p1 / (grid - 1), budget.p2 / (grid - 1)]
-    caps = [budget.p1, budget.p2]
-    for _ in range(60):
-        moved = 0.0
-        for k in range(2):
-            if steps[k] <= 0.0:
-                continue
-            lo = max(0.0, best[k] - steps[k])
-            hi = min(caps[k], best[k] + steps[k])
-            other = best[1 - k]
-            if k == 0:
-                x = _golden_max(lambda t: value_at(t, other), lo, hi, refine_tol)
-                v = value_at(x, other)
+    def rates(p: tuple[float, float]) -> tuple[float, float]:
+        r1, r2 = proper_rates(ch, *p)
+        return float(r1), float(r2)
+
+    if rho[1] == 0.0:
+        p = on_edge(0, 0.0)
+        return rates(p)[0], p
+    if rho[0] == 0.0:
+        p = on_edge(1, 0.0)
+        return rates(p)[1], p
+    best = (-math.inf, on_edge(0, 0.0))
+    for k, j in ((0, 1), (1, 0)):
+
+        def falls(t: float) -> float:
+            r = rates(on_edge(k, t))
+            return rho[j] * r[k] - rho[k] * r[j]
+
+        lo, hi = 0.0, caps[j]  # falls(0) >= 0: user j is silent there
+        if falls(hi) >= 0.0:
+            lo = hi
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if falls(mid) >= 0.0:
+                lo = mid
             else:
-                x = _golden_max(lambda t: value_at(other, t), lo, hi, refine_tol)
-                v = value_at(other, x)
-            if v > best_val:
-                moved += abs(x - best[k])
-                best[k] = x
-                best_val = v
-        if moved < refine_tol:
-            break
-    return best_val, (best[0], best[1])
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        for t in (lo, hi):
+            r = rates(on_edge(k, t))
+            R = min(r[0] / rho[0], r[1] / rho[1])
+            if R > best[0]:
+                best = (R, on_edge(k, t))
+    return best
 
 
 #: Rows per block of the passes over the improper samples: the sampler
@@ -381,38 +373,29 @@ def upper_right_hull(points) -> np.ndarray:
     return np.array(stack[::-1])
 
 
-def _boundary_interp(points_desc: np.ndarray):
-    """Height function r2 = h(r1) of a boundary polyline plus its extent."""
-    xs = points_desc[::-1, 0].copy()
-    ys = points_desc[::-1, 1].copy()
-    order = np.argsort(xs, kind="stable")
-    xs, ys = xs[order], ys[order]
-
-    def height(x):
-        return np.interp(x, xs, ys)
-
-    return height, float(xs[-1]), float(ys.max())
-
-
 def _profile_value(hull_desc: np.ndarray, rho: tuple[float, float]) -> float:
-    """Balanced-rate value of a hull region along a profile ray."""
+    """Balanced-rate value of a hull region along a profile ray.
+
+    ``hull_desc`` is an :func:`upper_right_hull` polyline, padded here
+    with its axis projections.  Each edge from a to b (r1 descending) has
+    outward normal n = (b2 - a2, a1 - b1) >= 0, and the ray
+    R*rho leaves the region at the least (n . a) / (n . rho) over the
+    edges with n . rho > 0.  A one-sided profile gets the intercept
+    itself; a hull of the origin alone gives 0.
+    """
     rho1, rho2 = rho
-    height, r1max, r2max = _boundary_interp(hull_desc)
     if rho1 == 0.0:
-        return r2max
+        return float(hull_desc[-1, 1])
     if rho2 == 0.0:
-        return r1max
-    lo, hi = 0.0, min(r1max / rho1, r2max / rho2) + 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        x = mid * rho1
-        if x <= r1max and mid * rho2 <= float(height(x)):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return lo
+        return float(hull_desc[0, 0])
+    v = np.vstack([[hull_desc[0, 0], 0.0], hull_desc, [0.0, hull_desc[-1, 1]]])
+    a, b = v[:-1], v[1:]
+    n = np.column_stack((b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]))
+    along = n @ np.array((rho1, rho2))
+    out = along > 0.0
+    if not out.any():
+        return 0.0
+    return float(np.min(np.sum(n[out] * a[out], axis=1) / along[out]))
 
 
 def boundary_violation(point: tuple[float, float], boundary_points: np.ndarray) -> float:
@@ -421,11 +404,12 @@ def boundary_violation(point: tuple[float, float], boundary_points: np.ndarray) 
     Positive values mean the point lies outside (above/right of) the
     piecewise-linear boundary; values <= 0 mean containment.
     """
-    height, r1max, _ = _boundary_interp(np.asarray(boundary_points, dtype=float))
+    pts = np.asarray(boundary_points, dtype=float)[::-1]
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs, ys = pts[order, 0], pts[order, 1]
     x, y = float(point[0]), float(point[1])
-    v1 = x - r1max
-    v2 = y - float(height(min(x, r1max)))
-    return max(v1, v2)
+    r1max = float(xs[-1])
+    return max(x - r1max, y - float(np.interp(min(x, r1max), xs, ys)))
 
 
 def ts_sweep(
@@ -483,16 +467,12 @@ def sweep_boundary(
                     dual_bound=cp.upper,
                 )
             )
-    elif method == "hull-proper":
-        base = sweep_boundary("pure-proper", ch, budget, betas, cfg)
-        hull = upper_right_hull(base.rate_points())
-        for beta in betas:
-            rho = RateProfile(beta).rho
-            R = _profile_value(hull, rho)
-            entries.append(BoundaryEntry(beta, RatePair(R * rho[0], R * rho[1]), R, method))
-    elif method == "hull-improper":
-        samples = pure_improper_samples(ch, budget, cfg.sampling)
-        hull = upper_right_hull(samples)
+    elif method in ("hull-proper", "hull-improper"):
+        if method == "hull-proper":
+            points = sweep_boundary("pure-proper", ch, budget, betas, cfg).rate_points()
+        else:
+            points = pure_improper_samples(ch, budget, cfg.sampling)
+        hull = upper_right_hull(points)
         for beta in betas:
             rho = RateProfile(beta).rho
             R = _profile_value(hull, rho)

@@ -147,7 +147,7 @@ class TestAchievedDualValue:
     def test_zero_dual_gives_zero(self, sec6, budget10):
         cut = make_cut(sec6, (4.0, 9.0))
         dual = DualPoint(0.0, 0.0, 0.0, 0.0)
-        assert achieved_dual_value(sec6, dual, budget10, cut) == 0.0
+        assert achieved_dual_value(dual, budget10, cut) == 0.0
 
     def test_formula(self, sec6, budget10):
         dual = DualPoint(0.7, 1.3, 0.2, 0.1)
@@ -157,13 +157,12 @@ class TestAchievedDualValue:
             + 0.7 * cut.rates.r1 + 1.3 * cut.rates.r2
             - 0.2 * 3.0 - 0.1 * 6.0
         )
-        assert achieved_dual_value(sec6, dual, budget10, cut) == pytest.approx(want)
+        assert achieved_dual_value(dual, budget10, cut) == pytest.approx(want)
 
     def test_running_min_is_nonincreasing(self, sec6, budget10):
         rng = np.random.default_rng(21)
         values = [
             achieved_dual_value(
-                sec6,
                 DualPoint(*rng.uniform(0.0, 2.0, 4)),
                 budget10,
                 make_cut(sec6, rng.uniform(0.0, 12.0, 2)),
@@ -368,7 +367,7 @@ class TestBoundTrajectories:
         def with_gap(ch, dual, power_cap):
             res = replace(stationary_solve(ch, dual, power_cap), gap=0.25)
             cut = Cut(res.p, rate_pair_proper(ch, res.p), "stationary")
-            bounds.append(achieved_dual_value(ch, dual, budget10, cut) + res.gap)
+            bounds.append(achieved_dual_value(dual, budget10, cut) + res.gap)
             return res
 
         monkeypatch.setattr(outer, "bnb_solve", with_gap)

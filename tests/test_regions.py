@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,55 @@ SAMPLER_CHANNELS = {
 }
 
 
+def edge_scan_best(ch, budget, profile, n=20_001):
+    """Best balanced value on a uniform scan of both full-power edges."""
+    rho1, rho2 = profile.rho
+    t1 = np.linspace(0.0, budget.p1, n)
+    t2 = np.linspace(0.0, budget.p2, n)
+    best = -np.inf
+    for p1, p2 in ((np.full(n, budget.p1), t2), (t1, np.full(n, budget.p2))):
+        r1, r2 = proper_rates(ch, p1, p2)
+        best = max(best, float(np.minimum(r1 / rho1, r2 / rho2).max()))
+    return best
+
+
+def grid_best(ch, budget, profile, n):
+    """Best balanced value on an n x n grid over the power rectangle."""
+    rho1, rho2 = profile.rho
+    p1 = np.linspace(0.0, budget.p1, n)
+    p2 = np.linspace(0.0, budget.p2, n)
+    r1, r2 = proper_rates(ch, p1[:, None], p2[None, :])
+    return float(np.minimum(r1 / rho1, r2 / rho2).max())
+
+
+def family_channel(seed, snr_db, inr_db, real):
+    """Seeded channel with direct links at ``snr_db`` and cross links at
+    ``inr_db`` (each moved by up to 1 dB), unequal noise and budget; real
+    coefficients carry random signs."""
+    rng = np.random.default_rng(seed)
+    noise = rng.uniform(0.5, 2.0, 2)
+    budget = PowerBudget(10.0, float(rng.uniform(2.0, 10.0)))
+    snr = snr_db + rng.uniform(-1.0, 1.0, 2)
+    inr = inr_db + rng.uniform(-1.0, 1.0, 2)
+    levels = (snr[0], inr[0], inr[1], snr[1])
+    powers = (budget.p1, budget.p2, budget.p1, budget.p2)
+    rx_noise = (noise[0], noise[0], noise[1], noise[1])
+    mags = [np.sqrt(10.0 ** (d / 10.0) * n / p) for d, p, n in zip(levels, powers, rx_noise)]
+    if real:
+        h = [float(m * rng.choice((-1.0, 1.0))) for m in mags]
+    else:
+        h = [complex(m * np.exp(1j * rng.uniform(0.0, TWO_PI))) for m in mags]
+    return ChannelRealization(*h, float(noise[0]), float(noise[1])), budget
+
+
+FAMILY = [
+    (seed, snr, snr + offset, real)
+    for seed, (snr, offset, real) in enumerate(
+        itertools.product((-10.0, 0.0, 10.0, 20.0, 30.0), (-15.0, -5.0, 0.0, 5.0), (False, True))
+    )
+]
+
+
 class TestPureProperPoint:
     def test_profile_one_hits_analytic_intercept(self, sec6, budget10):
         R, p = pure_proper_point(sec6, budget10, RateProfile(1.0))
@@ -79,12 +130,41 @@ class TestPureProperPoint:
     def test_never_below_plain_grid(self, sec6, budget10):
         for beta in (0.2, 0.5, 0.9):
             profile = RateProfile(beta)
-            R, _ = pure_proper_point(sec6, budget10, profile, grid=41)
-            p1 = np.linspace(0, 10, 41)
-            r1, r2 = proper_rates(sec6, p1[:, None], p1[None, :])
-            rho1, rho2 = profile.rho
-            grid_best = float(np.minimum(r1 / rho1, r2 / rho2).max())
-            assert R >= grid_best - 1e-12
+            R, _ = pure_proper_point(sec6, budget10, profile)
+            assert R >= grid_best(sec6, budget10, profile, 41) - 1e-12
+
+    @pytest.mark.parametrize("beta", [0.05, 0.10, 0.40, 0.95])
+    def test_sec6_reaches_full_power_edge(self, sec6, budget10, beta):
+        profile = RateProfile(beta)
+        R, p = pure_proper_point(sec6, budget10, profile)
+        assert R >= edge_scan_best(sec6, budget10, profile) - 1e-12
+        assert p[0] == 10.0 or p[1] == 10.0
+        r1, r2 = proper_rates(sec6, *p)
+        assert R == min(r1 / profile.rho[0], r2 / profile.rho[1])
+
+    def test_sec6_beta_tenth_value(self, sec6, budget10):
+        # the optimum sits on the edge p2 = 10, where a 3001 x 3001 grid
+        # reaches only 3.076534
+        R, p = pure_proper_point(sec6, budget10, RateProfile(0.1))
+        assert R >= 3.0770532
+        assert p[1] == 10.0
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 0.8, 1.0])
+    def test_some_user_at_full_power(self, sec6, beta):
+        budget = PowerBudget(7.5, 3.25)
+        _, p = pure_proper_point(sec6, budget, RateProfile(beta))
+        assert p[0] == budget.p1 or p[1] == budget.p2
+        assert 0.0 <= p[0] <= budget.p1 and 0.0 <= p[1] <= budget.p2
+
+    @pytest.mark.parametrize("seed,snr_db,inr_db,real", FAMILY)
+    def test_family_beats_edge_scan_and_grid(self, seed, snr_db, inr_db, real):
+        ch, budget = family_channel(seed, snr_db, inr_db, real)
+        for beta in (0.15, 0.5, 0.85):
+            profile = RateProfile(beta)
+            R, p = pure_proper_point(ch, budget, profile)
+            assert p[0] == budget.p1 or p[1] == budget.p2
+            assert R >= edge_scan_best(ch, budget, profile) - 1e-12
+            assert R >= grid_best(ch, budget, profile, 401) - 1e-12
 
 
 class TestPureImproperSamples:
@@ -357,6 +437,11 @@ def test_profile_value_interpolates_hull():
     # a shallower ray crosses the right-hand segment r2 = 4 - r1 instead
     v = _profile_value(hull, (0.75, 0.25))
     assert 0.75 * v == pytest.approx(3.0, abs=1e-9)
+    # a ray of slope 7/3 crosses r2 = 3 - r1/2 mid-segment, at R = 60/17
+    v = _profile_value(hull, (0.3, 0.7))
+    assert v == pytest.approx(60.0 / 17.0, rel=2e-15, abs=0.0)
+    # a hull of the origin alone has no edge to leave through
+    assert _profile_value(np.array([[0.0, 0.0]]), (0.5, 0.5)) == 0.0
 
 
 class TestHeadlineMargin:
