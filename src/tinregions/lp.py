@@ -14,17 +14,20 @@ solutions, so at most five weights are positive.
 Dual values follow the shadow-price convention: ``dual[i]`` is the
 sensitivity of the optimal R to the right-hand side of row i.
 
-The solver's columns are R+, R-, tau_1 ... tau_L, the surplus columns
-of the rate rows, the slack columns of the power rows and the
-artificial of the simplex row.  A solve can resume from an earlier
+Every master has a strategy within both budgets, so the simplex starts
+at a feasible vertex that is known in advance (a crash basis): all time
+on that strategy, R as large as its rates allow, the surplus of the
+other rate row and both power slacks basic.  R is a free column that is
+basic from the start and never leaves the basis.  The solver's columns
+are R, tau_1 ... tau_L, the surplus columns of the rate rows and the
+slack columns of the power rows.  A solve can resume from an earlier
 optimal basis (``start``, taken from ``LpSolution.basis``): structural
-columns are numbered from the front and the last five from the end, so
+columns are numbered from the front and the last four from the end, so
 a basis stays valid when tau columns are appended to a master with
 unchanged rows.  The old basis is then still primal feasible (the new
-weights start nonbasic at zero), so phase 1 is skipped and phase 2
-continues from there.  A start that does not map onto a nonsingular,
-primal feasible basis without the artificial falls back to the cold
-two-phase solve.
+weights start nonbasic at zero).  A start that does not map onto a
+nonsingular, primal feasible basis holding R falls back to the crash
+basis.
 """
 
 from __future__ import annotations
@@ -48,10 +51,11 @@ _TIE_HIGH = 1.0 + RATIO_TIE_TOL
 #: Largest condition number accepted for a warm-start basis.
 _WARM_COND_MAX = 1e12
 _MAX_PIVOTS = 50_000
-#: Surplus (rate rows), slack (power rows) and artificial (simplex row)
-#: columns, the last five columns of every master.
-_EXTRA = np.diag([-1.0, -1.0, 1.0, 1.0, 1.0])
+#: Surplus (rate rows) and slack (power rows) columns, the last four
+#: columns of every master.
+_EXTRA = np.vstack([np.diag([-1.0, -1.0, 1.0, 1.0]), np.zeros(4)])
 _M = 5
+_N_EXTRA = 4
 
 
 class MasterLP:
@@ -63,11 +67,14 @@ class MasterLP:
     ``rates`` and ``powers`` are 2 x L (row k for user k + 1),
     ``budget`` is (P1, P2) and ``rho`` the rate profile.  ``rows`` is
     the 5 x (1 + L) constraint matrix and ``rhs`` is (0, 0, P1, P2, 1).
-    ``ValueError`` unless every value is finite, the budgets are >= 0
-    and there is at least one strategy.
+    ``within`` is the index of the first strategy whose powers lie
+    within both budgets; the simplex starts there.  ``ValueError``
+    unless every value is finite, the budgets are >= 0, the rates are
+    >= 0, rho has a positive entry and some strategy lies within both
+    budgets.
     """
 
-    __slots__ = ("rows", "rhs")
+    __slots__ = ("rows", "rhs", "within")
 
     def __init__(self, rates, powers, budget, rho):
         rates = np.asarray(rates, dtype=float)
@@ -86,44 +93,69 @@ class MasterLP:
             raise ValueError("master coefficients must be finite")
         if not rhs[2:4].min() >= 0.0:
             raise ValueError("budgets must be >= 0")
+        if not rates.min() >= 0.0:
+            raise ValueError("rates must be >= 0")
+        if not rows[:2, 0].min() < 0.0:
+            raise ValueError("rho must have a positive entry")
+        within = np.flatnonzero(np.all(powers <= rhs[2:4, None], axis=0))
+        if not within.size:
+            raise ValueError("no strategy lies within both budgets")
         self.rows = rows
         self.rhs = rhs
+        self.within = int(within[0])
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible"
-    primal: np.ndarray | None = None  # (R, tau_1, ..., tau_L)
-    dual: np.ndarray | None = None
-    objective: float | None = None
+    primal: np.ndarray  # (R, tau_1, ..., tau_L)
+    dual: np.ndarray
+    objective: float
     #: optimal basic columns, one per row, for ``lp_solve(..., start=...)``:
-    #: structural columns by index, the last five counted from the end
-    basis: tuple[int, ...] | None = None
+    #: structural columns by index, the last four counted from the end
+    basis: tuple[int, ...]
+
+
+def _crash_basis(master: MasterLP, N: int) -> list[int]:
+    """The feasible starting basis, listed by row: all time on strategy
+    ``within`` (row 4), R on the rate row whose ratio r_k / rho_k is
+    smaller, the other rate row's surplus and both power slacks."""
+    j = 1 + master.within
+    rho = -master.rows[:2, 0]
+    ratio = [master.rows[k, j] / rho[k] if rho[k] > 0.0 else np.inf for k in (0, 1)]
+    tight = 0 if ratio[0] <= ratio[1] else 1
+    basis = [*range(N - _N_EXTRA, N), j]
+    basis[tight] = 0
+    return basis
 
 
 def _warm_basis(start: Sequence[int], A_ext: np.ndarray, b: np.ndarray) -> list[int] | None:
     """Columns of ``start`` in this LP if they form a nonsingular basis
-    without the artificial whose basic solution is primal feasible,
-    else ``None``."""
+    holding R whose basic solution is primal feasible, else ``None``."""
     N = A_ext.shape[1]
-    n_struct = N - _M
-    # -1 marks a column this LP lacks; the artificial (column -1) counts as one
+    n_struct = N - _N_EXTRA
+    # -1 marks a column this LP lacks
     cols = [
-        k if 0 <= k < n_struct else N + k if -_M <= k < -1 else -1 for k in map(int, start)
+        k if 0 <= k < n_struct else N + k if -_N_EXTRA <= k < 0 else -1 for k in map(int, start)
     ]
-    if len(cols) != _M or min(cols, default=0) < 0 or len(set(cols)) != _M:
+    if len(cols) != _M or min(cols, default=0) < 0 or len(set(cols)) != _M or 0 not in cols:
         return None
     B = A_ext[:, cols]
     if not np.linalg.cond(B) <= _WARM_COND_MAX:
         return None
     x_B = np.linalg.solve(B, b)
-    if not float(np.min(x_B, initial=0.0)) >= -FEAS_TOL:
+    x_B[cols.index(0)] = 0.0  # R is free
+    if not float(np.min(x_B)) >= -FEAS_TOL:
         return None
     return cols
 
 
-def _simplex(A_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[int], allowed: np.ndarray) -> str:
-    """Revised simplex maximizing ``costs`` over A_ext x = b, x >= 0.
+def _simplex(
+    A_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Revised simplex maximizing ``costs`` over A_ext x = b, x >= 0
+    except for column 0, which is free once basic: the ratio test skips
+    its row, so it never leaves.  Returns the optimal basic solution
+    x_B and the duals y.
 
     Mutates ``basis``.  Entering variable: lowest eligible index with
     reduced cost above tolerance; leaving variable: minimum-ratio row,
@@ -138,11 +170,12 @@ def _simplex(A_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[in
     m, N = A_ext.shape
     in_basis = np.zeros(N, dtype=bool)
     in_basis[basis] = True
-    live = allowed.copy()
+    live = np.ones(N, dtype=bool)
     for _ in range(_MAX_PIVOTS):
         B = A_ext[:, basis]
         x_B = np.linalg.solve(B, b)
-        if float(np.min(x_B, initial=0.0)) <= -1e-6:
+        bounded = [i for i in range(m) if basis[i] != 0]
+        if float(np.min(x_B[bounded], initial=0.0)) <= -1e-6:
             raise RuntimeError("simplex basis lost primal feasibility")
         y = np.linalg.solve(B.T, costs[basis])
         reduced = costs - y @ A_ext
@@ -152,11 +185,11 @@ def _simplex(A_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[in
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return x_B, y
         d = np.linalg.solve(B, A_ext[:, enter])
         leave = -1
         best_ratio = np.inf
-        for i in range(m):
+        for i in bounded:
             if d[i] > FEAS_TOL:
                 ratio = max(x_B[i], 0.0) / d[i]
                 if leave < 0 or ratio < best_ratio * _TIE_LOW:
@@ -169,7 +202,7 @@ def _simplex(A_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[in
             if reduced[enter] <= 1e-7 and float(np.max(d)) <= 1e-9:
                 live[enter] = False
                 continue
-            return "unbounded"
+            raise RuntimeError("simplex reported an unbounded master LP")
         in_basis[basis[leave]] = False
         in_basis[enter] = True
         basis[leave] = enter
@@ -181,11 +214,11 @@ def lp_solve(master: MasterLP, start: Sequence[int] | None = None) -> LpSolution
 
     ``start`` is the ``basis`` of an earlier solution of a master with
     the same rows and possibly more strategies; when it is still a
-    feasible basis, phase 1 is skipped.  The status is ``"infeasible"``
-    when no mixture of the strategies meets the budgets."""
+    feasible basis, the simplex resumes there instead of at the crash
+    basis."""
     A = master.rows
     rhs0 = master.rhs
-    m, n = A.shape
+    n = A.shape[1]
 
     # Equilibrate row scales; the right-hand side is nonnegative.
     scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), rhs0)
@@ -193,61 +226,21 @@ def lp_solve(master: MasterLP, start: Sequence[int] | None = None) -> LpSolution
     A_norm = A / scale[:, None]
     rhs = rhs0 / scale
 
-    # R is free and splits into R+ - R-; the rate rows start feasibly on
-    # their surplus columns (zero rhs), the power rows on their slacks
-    # and the simplex row on its artificial.
-    A_ext = np.hstack([A_norm[:, :1], -A_norm[:, :1], A_norm[:, 1:], _EXTRA])
+    A_ext = np.hstack([A_norm, _EXTRA])
     N = A_ext.shape[1]
-    n_struct = N - _M
-    art = N - 1
     c_ext = np.zeros(N)
     c_ext[0] = 1.0
-    c_ext[1] = -1.0
-    is_artificial = np.zeros(N, dtype=bool)
-    is_artificial[art] = True
 
     basis = None if start is None else _warm_basis(start, A_ext, rhs)
-    # Phase 1: drive the artificial to zero.
     if basis is None:
-        basis = list(range(n_struct, N))
-        costs1 = np.zeros(N)
-        costs1[art] = -1.0
-        status = _simplex(A_ext, rhs, costs1, basis, np.ones(N, dtype=bool))
-        if status != "optimal":  # phase-1 objective is bounded above by 0
-            raise RuntimeError(f"phase 1 of the simplex reported {status}")
-        B = A_ext[:, basis]
-        x_B = np.linalg.solve(B, rhs)
-        infeas = float(np.sum(x_B[is_artificial[basis]]))
-        if infeas > 1e-7:
-            return LpSolution(status="infeasible")
-        # Pivot the artificial, if still basic (at zero), out on a real column.
-        for i in range(m):
-            if basis[i] == art:
-                B = A_ext[:, basis]
-                w = np.linalg.solve(B.T, np.eye(m)[i])
-                row = w @ A_ext
-                for j in range(N):
-                    if j != art and j not in basis and abs(row[j]) > 1e-7:
-                        basis[i] = j
-                        break
-                # A row with no eligible column is redundant; the
-                # artificial stays basic at zero and never re-enters.
+        basis = _crash_basis(master, N)
+    x_B, y = _simplex(A_ext, rhs, c_ext, basis)
 
-    # Phase 2 over R; the artificial may not re-enter.
-    if _simplex(A_ext, rhs, c_ext, basis, ~is_artificial) != "optimal":
-        raise RuntimeError("simplex reported an unbounded master LP")
-
-    B = A_ext[:, basis]
-    x_B = np.linalg.solve(B, rhs)
     x_ext = np.zeros(N)
-    x_ext[basis] = np.maximum(x_B, 0.0)
-    primal = np.empty(n)
-    primal[0] = x_ext[0] - x_ext[1]
-    primal[1:] = x_ext[2:n_struct]
-    value = float(c_ext @ x_ext)
-
-    # Duals y = c_B B^{-1}, then undo the row scaling.
-    y = np.linalg.solve(B.T, c_ext[basis]) / scale
+    x_ext[basis] = np.maximum(x_B, 0.0)  # R >= 0: the rates are >= 0
+    primal = x_ext[:n]
+    # Undo the row scaling of the duals y = c_B B^{-1}.
+    y = y / scale
 
     residual = A @ primal - rhs0
     violation = np.concatenate([-residual[:2], residual[2:4], np.abs(residual[4:])])
@@ -256,9 +249,8 @@ def lp_solve(master: MasterLP, start: Sequence[int] | None = None) -> LpSolution
         raise RuntimeError(f"simplex returned an infeasible point (row {bad[0]})")
 
     return LpSolution(
-        status="optimal",
         primal=primal,
         dual=y,
-        objective=value,
-        basis=tuple([k if k < n_struct else k - N for k in basis]),
+        objective=float(primal[0]),
+        basis=tuple([k if k < n else k - N for k in basis]),
     )

@@ -163,14 +163,20 @@ def alignment_phases(ch: ChannelRealization) -> AlignmentPhases:
     ``simultaneous`` reports whether one phase pair can satisfy both
     offsets at once, i.e. whether ``psi1 = -psi2`` (mod 2*pi) within
     1e-12.  Channels with real nonzero coefficients always qualify, with
-    ``psi1 = psi2 = pi``.
+    ``psi1 = psi2 = pi``.  User k's rate does not depend on the phase
+    difference when h_kk or h_kj is zero; its offset is then set to
+    ``-psi_j`` (mod 2*pi), or to pi when both users are such, and the
+    pair is simultaneous.
     """
-    for h in (ch.h11, ch.h12, ch.h21, ch.h22):
-        if abs(h) == 0.0:
-            raise ValueError("alignment phase undefined: zero channel coefficient")
     h11, h12, h21, h22 = (complex(ch.h11), complex(ch.h12), complex(ch.h21), complex(ch.h22))
-    psi1 = (math.pi + cmath.phase((h12 * h12) / (h11 * h11))) % TWO_PI
-    psi2 = (math.pi + cmath.phase((h21 * h21) / (h22 * h22))) % TWO_PI
+    free1 = h11 == 0.0 or h12 == 0.0
+    free2 = h21 == 0.0 or h22 == 0.0
+    psi1 = math.pi if free1 else (math.pi + cmath.phase((h12 * h12) / (h11 * h11))) % TWO_PI
+    psi2 = math.pi if free2 else (math.pi + cmath.phase((h21 * h21) / (h22 * h22))) % TWO_PI
+    if free1 and not free2:
+        psi1 = -psi2 % TWO_PI
+    elif free2 and not free1:
+        psi2 = -psi1 % TWO_PI
     mismatch = (psi1 + psi2) % TWO_PI
     simultaneous = min(mismatch, TWO_PI - mismatch) <= 1e-12
     return AlignmentPhases(psi1, psi2, simultaneous)

@@ -252,6 +252,15 @@ class TestVerifyCommand:
         assert code == 0
         assert out.startswith("PASS lemma1")
 
+    def test_lemma1_suite_passes_without_cross_gain(self, channel_file, tmp_path, capsys):
+        doc = json.loads(open(channel_file).read())
+        doc["h12"] = {"mag": 0.0, "phase_rad": 0.0}
+        path = tmp_path / "no_cross.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", "--channel", str(path), "--suite", "lemma1", "--trials", "5000"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("PASS lemma1")
+
     def test_theorem1_suite_small(self, channel_file, capsys):
         code = main(
             [

@@ -1,12 +1,11 @@
 import heapq
 import math
-import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from perfbench.workloads import family
 from tinregions import (
     ChannelRealization,
     DualPoint,
@@ -21,12 +20,6 @@ from tinregions import (
     ts_sweep,
 )
 from tinregions import inner, outer
-
-ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT) not in sys.path:
-    sys.path.insert(0, str(ROOT))
-
-from perfbench.workloads import family  # noqa: E402
 from tinregions.inner import LAMBDA_FLOOR, _f, _params, _single_user_max
 
 LN2 = math.log(2.0)

@@ -57,7 +57,6 @@ def _box_master():
 
 def test_box_lp():
     sol = lp_solve(_box_master())
-    assert sol.status == "optimal"
     assert sol.objective == pytest.approx(4.0, abs=1e-12)
     assert sol.primal == pytest.approx([4.0, 0.5, 0.5], abs=1e-12)
     assert sol.dual == pytest.approx([-2.0, 0.0, 0.4, 0.0, 0.0], abs=1e-12)
@@ -73,27 +72,36 @@ def test_rate_balancing_toy():
 
 def test_infeasible_detected():
     # every strategy breaches user 2's budget, so no mixture meets it
-    master = MasterLP([[1.0, 2.0], [1.0, 2.0]], [[1.0, 1.0], [11.0, 12.0]], (10.0, 10.0), (0.5, 0.5))
-    sol = lp_solve(master)
-    assert sol.status == "infeasible"
-    assert sol.basis is None
+    # and the master has no starting vertex
+    with pytest.raises(ValueError, match="within both budgets"):
+        MasterLP([[1.0, 2.0], [1.0, 2.0]], [[1.0, 1.0], [11.0, 12.0]], (10.0, 10.0), (0.5, 0.5))
+
+
+def test_master_needs_nonnegative_rates_and_a_positive_rho():
+    with pytest.raises(ValueError, match="rates"):
+        MasterLP([[1.0, -1e-300], [1.0, 2.0]], [[1.0, 1.0], [1.0, 1.0]], (10.0, 10.0), (0.5, 0.5))
+    with pytest.raises(ValueError, match="rho"):
+        MasterLP([[1.0, 2.0], [1.0, 2.0]], [[1.0, 1.0], [1.0, 1.0]], (10.0, 10.0), (0.0, 0.0))
 
 
 def test_infeasible_start_basis_raises():
     # a real error, not an assert, so it also fires under python -O
     with pytest.raises(RuntimeError, match="feasibility"):
-        lp_module._simplex(np.eye(1), np.array([-1.0]), np.zeros(1), [0], np.ones(1, bool))
+        lp_module._simplex(np.eye(2), np.array([1.0, -1.0]), np.zeros(2), [0, 1])
 
 
-def test_phase1_failure_raises(monkeypatch):
-    master = _box_master()
-    basis = lp_solve(master).basis
-    monkeypatch.setattr(lp_module, "_simplex", lambda *args: "unbounded")
-    with pytest.raises(RuntimeError, match="phase 1"):
-        lp_solve(master)
-    # a warm start skips phase 1; phase 2 cannot report a ray either
+def test_unbounded_phase_2_raises():
+    # tau_2 raises the objective without bound; R's row (column 0 is
+    # basic) has d > 0 but is skipped, so no row can leave
     with pytest.raises(RuntimeError, match="unbounded"):
-        lp_solve(master, start=basis)
+        lp_module._simplex(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([0.0, 1.0]), [0])
+    with pytest.raises(RuntimeError, match="unbounded"):
+        lp_module._simplex(
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]]),
+            np.array([0.0, 1.0]),
+            np.array([0.0, 0.0, 1.0]),
+            [0, 1],
+        )
 
 
 def test_malformed_dimensions_rejected():
@@ -107,6 +115,7 @@ def test_malformed_dimensions_rejected():
         dict(good, rates=[[np.nan], [1.0]]),
         dict(good, budget=(1.0, np.inf)),
         dict(good, budget=(-1.0, 1.0)),
+        dict(good, powers=[[1.5], [1.0]]),  # nothing within budget
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
@@ -143,7 +152,6 @@ def test_random_lps_match_enumeration_oracle():
     for _ in range(60):
         master = _random_master(rng)
         sol = lp_solve(master)
-        assert sol.status == "optimal"
         want = brute_force_optimum(master)
         assert sol.objective == pytest.approx(want, abs=1e-7)
         residual = master.rows @ sol.primal - master.rhs
@@ -151,6 +159,22 @@ def test_random_lps_match_enumeration_oracle():
         assert np.all(residual[2:4] <= 1e-9)
         assert abs(residual[4]) <= 1e-9
         assert np.all(sol.primal[1:] >= -1e-9)
+
+
+def test_r_is_in_every_basis():
+    # R starts basic and, being free, never leaves: also when user 1
+    # has no rate, so that the optimal R is 0.  Every label names R, a
+    # weight or one of the four extra columns.
+    rng = np.random.default_rng(42)
+    for _ in range(60):
+        r, p, budget, rho = _random_master_args(rng, int(rng.integers(1, 7)))
+        columns = set(range(r.shape[1] + 1)) | {-4, -3, -2, -1}
+        sol = lp_solve(MasterLP(r, p, budget, rho))
+        assert 0 in sol.basis and set(sol.basis) <= columns
+        r[0] = 0.0
+        sol = lp_solve(MasterLP(r, p, budget, rho))
+        assert sol.objective == 0.0
+        assert 0 in sol.basis and set(sol.basis) <= columns
 
 
 def test_strong_duality_and_complementary_slackness():
@@ -184,8 +208,7 @@ def test_ratio_ties_are_relative():
     A_ext = np.array([[1.0, 1.0, 0.0], [2.1e7, 0.0, 1.0]])
     b = np.array([1.349e-8, 2.1e7 * 1.284e-8])
     basis = [1, 2]
-    status = lp_module._simplex(A_ext, b, np.array([1.0, 0.0, 0.0]), basis, np.ones(3, bool))
-    assert status == "optimal"
+    lp_module._simplex(A_ext, b, np.array([1.0, 0.0, 0.0]), basis)
     assert basis == [1, 0]
 
 
@@ -202,13 +225,13 @@ def _counting_simplex(monkeypatch):
 
 
 def test_basis_counts_extra_columns_from_the_end():
-    # R+ (column 0) and tau_1 (column 2) are basic; so are the surplus
-    # of user 2's rate row and both power slacks, the last five columns
-    # but one counting from the end
+    # R (column 0) and tau_1 (column 1) are basic; so are the surplus
+    # of user 2's rate row and both power slacks, the last four columns
+    # but the first counting from the end
     master = MasterLP([[1.0], [2.0]], [[5.0], [5.0]], (10.0, 10.0), (0.5, 0.5))
     sol = lp_solve(master)
     assert sol.objective == pytest.approx(2.0, abs=1e-12)
-    assert sorted(sol.basis) == [-4, -3, -2, 0, 2]
+    assert sorted(sol.basis) == [-3, -2, -1, 0, 1]
     assert all(type(k) is int for k in sol.basis)
 
 
@@ -223,25 +246,26 @@ def test_warm_start_after_appending_columns_matches_cold(monkeypatch):
         cold = lp_solve(full)
         del calls[:]
         warm = lp_solve(full, start=old.basis)
-        assert len(calls) == 1  # phase 2 only
+        assert len(calls) == 1
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
         assert warm.primal[0] == pytest.approx(cold.primal[0], abs=1e-12)
         assert lp_solve(full, start=old.basis).primal.tobytes() == warm.primal.tobytes()
 
 
 def test_unusable_start_falls_back_to_cold():
-    # columns: R+ 0, R- 1, tau 2 and 3, then surplus -5 and -4, slack -3
-    # and -2, artificial -1; the optimal basis is (0, 2, 3, -4, -2)
+    # columns: R 0, tau 1 and 2, then surplus -4 and -3 and slack -2 and
+    # -1; the optimal basis is (0, 1, 2, -3, -1)
     master = _box_master()
     cold = lp_solve(master)
+    assert sorted(cold.basis) == [-3, -1, 0, 1, 2]
     starts = [
-        (0, 2, 3, -4, -3),  # infeasible: the user-1 slack at -10
-        (0, 2, 2, -4, -2),  # repeated column, singular
-        (0, 1, 3, -4, -2),  # R+ and R-, singular
-        (0, 2, 3, -4),  # one column short
-        (0, 2, 9, -4, -2),  # no such strategy
-        (0, 2, 3, -6, -2),  # before the extra columns
-        (0, 2, 3, -4, -1),  # the artificial
+        (0, 1, 2, -3, -2),  # infeasible: the user-1 slack at -10
+        (0, 1, 1, -3, -1),  # repeated column, singular
+        (0, 1, 2, -4, -3),  # both surpluses, singular
+        (-4, 1, 2, -3, -1),  # without R
+        (0, 1, 2, -3),  # one column short
+        (0, 1, 9, -3, -1),  # no such strategy
+        (0, 1, 2, -5, -1),  # before the extra columns
     ]
     for start in starts:
         sol = lp_solve(master, start=start)
@@ -250,9 +274,21 @@ def test_unusable_start_falls_back_to_cold():
         assert sol.basis == cold.basis
 
 
-def test_cold_start_runs_phase_1(monkeypatch):
+def test_cold_start_runs_one_simplex_pass(monkeypatch):
     master = _random_master(np.random.default_rng(47), 4)
     calls = _counting_simplex(monkeypatch)
     sol = lp_solve(master, start=(0,) * 5)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert sol.objective == lp_solve(master).objective
+    assert len(calls) == 2
+
+
+def test_crash_basis_finds_a_later_strategy():
+    # the breaching strategy comes first, so the crash basis puts all
+    # time on column 2; the optimum still mixes both half and half
+    master = MasterLP([[4.0, 0.0], [6.0, 0.0]], [[20.0, 0.0], [10.0, 0.0]], (10.0, 10.0), (0.5, 0.5))
+    assert master.within == 1
+    sol = lp_solve(master)
+    assert sol.objective == pytest.approx(brute_force_optimum(master), abs=1e-12)
+    assert sol.objective == pytest.approx(4.0, abs=1e-12)
+    assert sol.primal == pytest.approx([4.0, 0.5, 0.5], abs=1e-12)

@@ -11,6 +11,7 @@ from tinregions import (
     alignment_phases,
     enhance,
     improper_rates,
+    lemma1_check,
     rate_pair_improper,
     rate_pair_proper,
     rate_upper_bound,
@@ -211,10 +212,20 @@ class TestAlignmentPhases:
         psi1 = alignment_phases(ch).psi1
         assert psi1 == pytest.approx(math.pi, abs=1e-12)
 
-    def test_zero_coefficient_rejected(self):
-        ch = ChannelRealization(1.0, 0.0, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            alignment_phases(ch)
+    @pytest.mark.parametrize(
+        "h12, h21",
+        [(0.0, 0.7 * cmath.exp(1j * 0.9)), (0.8j, 0.0), (0.0, 0.0)],
+        ids=["h12=0", "h21=0", "both"],
+    )
+    def test_lemma1_holds_without_interference(self, h12, h21):
+        # a user without a cross (or direct) gain does not see the phase
+        # difference, so the other user's offset is the common one
+        ch = ChannelRealization(1.2 * cmath.exp(1j * 0.3), h12, h21, 1.1, 1.0, 2.0)
+        psi1, psi2, simultaneous = alignment_phases(ch)
+        assert simultaneous
+        if h12 == 0.0 and h21 == 0.0:
+            assert psi1 == psi2 == math.pi
+        assert lemma1_check(ch, trials=5000).passed
 
 
 class TestInvariants:

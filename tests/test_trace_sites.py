@@ -5,17 +5,10 @@ its layer silently empty in ``perfbench/run.py --trace 1``; this test
 records one traced solve and one traced Theorem-1 batch and checks that
 every layer still shows up."""
 
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT) not in sys.path:
-    sys.path.insert(0, str(ROOT))
-
-from perfbench.spans import Tracer  # noqa: E402
-from tinregions import RateProfile, outer, regions  # noqa: E402
-from tinregions.model import RatePair  # noqa: E402
-from tinregions.regions import BoundaryEntry, RegionBoundary  # noqa: E402
+from perfbench.spans import Tracer
+from tinregions import RateProfile, outer, regions
+from tinregions.model import RatePair
+from tinregions.regions import BoundaryEntry, RegionBoundary
 
 
 def test_traced_layers_reach_the_program(sec6, budget10):
