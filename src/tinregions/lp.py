@@ -1,15 +1,24 @@
-"""Dense revised simplex for the five-row master LP, returning primal
-and dual solutions.
+"""Revised simplex for the five-row master LP on Python floats, returning
+primal and dual solutions.
 
 Every LP the package solves is the master of coded time-sharing
 (:class:`MasterLP`): time-sharing weights tau over L strategies with
 known rates and powers, chosen to maximize the common rate scale R.
-Every iteration recomputes the basic solution, duals and pivot column
-directly from the original (row-equilibrated) data, so no update error
-can accumulate; pivoting uses Bland's rule throughout, which rules out
-cycling and makes the solver deterministic: identical inputs produce
-bitwise-identical outputs.  Returned solutions are basic (vertex)
-solutions, so at most five weights are positive.
+The solver keeps an explicit inverse of the 5 x 5 basis and updates it
+by one eta (rank-one) step per pivot, the product form of the revised
+simplex (Dantzig & Orchard-Hays, 1954).  The basic solution and the
+entering column are then products with that inverse, and the duals are
+its row at R's position, since R is the only column with a cost.  The
+updates round, so before a solution is reported its basis is factorized
+again from the original (row-equilibrated) columns: the returned primal,
+duals and objective carry no update error and depend only on the final
+basis, which must also pass the pricing with the fresh duals (a reduced
+cost near the tolerance can change sign under the update error).  The
+fresh inverse travels with the solution, so a warm start from it costs
+no factorization.  Pivoting uses Bland's rule throughout, which rules
+out cycling and makes the solver deterministic: identical inputs
+produce bitwise-identical outputs.  Returned solutions are basic
+(vertex) solutions, so at most five weights are positive.
 
 Dual values follow the shadow-price convention: ``dual[i]`` is the
 sensitivity of the optimal R to the right-hand side of row i.
@@ -21,19 +30,22 @@ other rate row and both power slacks basic.  R is a free column that is
 basic from the start and never leaves the basis.  The solver's columns
 are R, tau_1 ... tau_L, the surplus columns of the rate rows and the
 slack columns of the power rows.  A solve can resume from an earlier
-optimal basis (``start``, taken from ``LpSolution.basis``): structural
-columns are numbered from the front and the last four from the end, so
-a basis stays valid when tau columns are appended to a master with
-unchanged rows.  The old basis is then still primal feasible (the new
-weights start nonbasic at zero).  A start that does not map onto a
-nonsingular, primal feasible basis holding R falls back to the crash
-basis.
+solution (``start``): structural columns are numbered from the front and
+the last four from the end, so a basis stays valid when tau columns are
+appended to a master with unchanged rows, and the old basis is then
+still primal feasible (the new weights start nonbasic at zero).  A
+start that does not map onto a nonsingular, primal feasible basis
+holding R falls back to the crash basis.  Only the final factorization
+calls numpy; the pivots run on Python floats, whose arithmetic on a
+5 x 5 basis costs less than numpy's per-call overhead.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,14 +60,25 @@ COST_TOL = 1e-10
 RATIO_TIE_TOL = 1e-12
 _TIE_LOW = 1.0 - RATIO_TIE_TOL
 _TIE_HIGH = 1.0 + RATIO_TIE_TOL
-#: Largest condition number accepted for a warm-start basis.
-_WARM_COND_MAX = 1e12
+#: A warm-start basis is refused when a pivot of its factorization is no
+#: larger than this.  The rows are equilibrated to entries of at most 1,
+#: so such a pivot marks a basis that is singular or nearly so.
+_PIVOT_MIN = 1e-12
 _MAX_PIVOTS = 50_000
 #: Surplus (rate rows) and slack (power rows) columns, the last four
-#: columns of every master.
-_EXTRA = np.vstack([np.diag([-1.0, -1.0, 1.0, 1.0]), np.zeros(4)])
-_M = 5
+#: columns of every master, in the equilibrated rows.
+_EXTRA = (
+    (-1.0, 0.0, 0.0, 0.0, 0.0),
+    (0.0, -1.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 1.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 1.0, 0.0),
+)
 _N_EXTRA = 4
+#: Right-hand sides of the final solve: the five unit vectors, then two
+#: filled in per solve (the right-hand side b and the unit vector of
+#: R's position), each as a 5 x 1 column.
+_FINAL_RHS = np.zeros((7, 5, 1))
+_FINAL_RHS[range(5), range(5), 0] = 1.0
 
 
 class MasterLP:
@@ -65,16 +88,19 @@ class MasterLP:
     R free.
 
     ``rates`` and ``powers`` are 2 x L (row k for user k + 1),
-    ``budget`` is (P1, P2) and ``rho`` the rate profile.  ``rows`` is
-    the 5 x (1 + L) constraint matrix and ``rhs`` is (0, 0, P1, P2, 1).
-    ``within`` is the index of the first strategy whose powers lie
-    within both budgets; the simplex starts there.  ``ValueError``
-    unless every value is finite, the budgets are >= 0, the rates are
-    >= 0, rho has a positive entry and some strategy lies within both
-    budgets.
+    ``budget`` is (P1, P2) and ``rho`` the rate profile.  ``columns``
+    holds the 1 + L columns as tuples of five Python floats, R first;
+    ``rows`` is the same 5 x (1 + L) constraint matrix as an array and
+    ``rhs`` is (0, 0, P1, P2, 1).  ``scale`` holds each row's
+    equilibration scale (its largest magnitude, right-hand side
+    included).  ``within`` is the index of the first strategy whose
+    powers lie within both budgets; the simplex starts there.
+    ``ValueError`` unless every value is finite, the budgets are >= 0,
+    the rates are >= 0, rho has a positive entry and some strategy lies
+    within both budgets.
     """
 
-    __slots__ = ("rows", "rhs", "within")
+    __slots__ = ("columns", "budget", "within", "scale", "_peak")
 
     def __init__(self, rates, powers, budget, rho):
         rates = np.asarray(rates, dtype=float)
@@ -83,26 +109,74 @@ class MasterLP:
             raise ValueError("rates must be 2 x L with at least one strategy")
         if powers.shape != rates.shape:
             raise ValueError("powers must match the shape of rates")
-        rows = np.zeros((_M, 1 + rates.shape[1]))
-        rows[:2, 0] = -np.asarray(rho, dtype=float)
-        rows[:2, 1:] = rates
-        rows[2:4, 1:] = powers
-        rows[4, 1:] = 1.0
-        rhs = np.array([0.0, 0.0, *budget, 1.0], dtype=float)
-        if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(rhs))):
+        rho1, rho2 = (float(v) for v in rho)
+        P1, P2 = (float(v) for v in budget)
+        if not (
+            np.all(np.isfinite(rates))
+            and np.all(np.isfinite(powers))
+            and all(map(math.isfinite, (rho1, rho2, P1, P2)))
+        ):
             raise ValueError("master coefficients must be finite")
-        if not rhs[2:4].min() >= 0.0:
+        if not min(P1, P2) >= 0.0:
             raise ValueError("budgets must be >= 0")
         if not rates.min() >= 0.0:
             raise ValueError("rates must be >= 0")
-        if not rows[:2, 0].min() < 0.0:
+        if not max(rho1, rho2) > 0.0:
             raise ValueError("rho must have a positive entry")
-        within = np.flatnonzero(np.all(powers <= rhs[2:4, None], axis=0))
+        within = np.flatnonzero((powers[0] <= P1) & (powers[1] <= P2))
         if not within.size:
             raise ValueError("no strategy lies within both budgets")
-        self.rows = rows
-        self.rhs = rhs
+        r1, r2 = rates.tolist()
+        p1, p2 = powers.tolist()
+        self.columns = ((-rho1, -rho2, 0.0, 0.0, 0.0), *zip(r1, r2, p1, p2, [1.0] * len(r1)))
+        self.budget = (P1, P2)
         self.within = int(within[0])
+        peak = np.abs(powers).max(axis=1).tolist()
+        self._set_peak(
+            max(abs(rho1), *r1), max(abs(rho2), *r2), max(P1, peak[0]), max(P2, peak[1])
+        )
+
+    def _set_peak(self, *peak: float) -> None:
+        """Record the largest magnitudes of rows 0-3 and the row scales
+        they give; row 4 (the weights' sum) has scale 1."""
+        self._peak = peak
+        self.scale = (*[s if s > 0.0 else 1.0 for s in peak], 1.0)
+
+    def appended(self, r1: float, r2: float, p1: float, p2: float) -> MasterLP:
+        """This master with one more strategy as its last column, checked
+        as the constructor checks its strategies."""
+        r1, r2, p1, p2 = float(r1), float(r2), float(p1), float(p2)
+        if not all(map(math.isfinite, (r1, r2, p1, p2))):
+            raise ValueError("master coefficients must be finite")
+        if not min(r1, r2) >= 0.0:
+            raise ValueError("rates must be >= 0")
+        new = object.__new__(MasterLP)
+        new.columns = (*self.columns, (r1, r2, p1, p2, 1.0))
+        new.budget = self.budget
+        new.within = self.within
+        a, b, c, d = self._peak
+        new._set_peak(max(a, r1), max(b, r2), max(c, abs(p1)), max(d, abs(p2)))
+        return new
+
+    @property
+    def rows(self) -> np.ndarray:
+        return np.array(self.columns).T
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return np.array([0.0, 0.0, *self.budget, 1.0])
+
+
+class _Inverse(NamedTuple):
+    """The inverse of an optimal basis, for a warm start: ``rows`` is the
+    inverse of the equilibrated basis matrix, row i for basis position
+    i; ``columns`` are the basic columns it was built from (a structural
+    column as in :attr:`MasterLP.columns`, a surplus or slack as
+    ``None``) and ``scale`` the row scales of that master."""
+
+    rows: tuple[list[float], ...]  # never written to
+    columns: tuple[tuple[float, ...] | None, ...]
+    scale: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -113,6 +187,64 @@ class LpSolution:
     #: optimal basic columns, one per row, for ``lp_solve(..., start=...)``:
     #: structural columns by index, the last four counted from the end
     basis: tuple[int, ...]
+    #: the inverse of that basis, which a warm start from this solution
+    #: reuses instead of factorizing the basis again
+    inverse: _Inverse | None = field(default=None, repr=False, compare=False)
+
+
+def _times(rows, v) -> list[float]:
+    """The product of a 5 x 5 matrix, given by its rows, with a vector."""
+    v0, v1, v2, v3, v4 = v
+    return [a * v0 + b * v1 + c * v2 + d * v3 + e * v4 for a, b, c, d, e in rows]
+
+
+def _eta(binv: list, d: list[float], r: int) -> None:
+    """Update the basis inverse ``binv`` when the column whose product
+    with it is ``d`` replaces the basic column of row r: row r is
+    divided by the pivot d[r], the other rows are cleared of d."""
+    pivot = d[r]
+    row = binv[r] = [v / pivot for v in binv[r]]
+    for i, di in enumerate(d):
+        if i != r and di != 0.0:
+            binv[i] = [u - di * v for u, v in zip(binv[i], row)]
+
+
+def _factorize(cols, basis: Sequence[int], pivot_min: float = 0.0) -> list | None:
+    """The inverse of the basis matrix, whose column i is
+    ``cols[basis[i]]``, as a list of rows; ``None`` if a pivot is at most
+    ``pivot_min`` in size.
+
+    Product form: the surplus and slack columns are signed unit columns
+    and invert in place; every other column enters by one eta step,
+    pivoting on the row not yet taken where its product with the inverse
+    so far is largest (partial pivoting)."""
+    n = len(cols) - _N_EXTRA
+    binv = [[1.0 if i == k else 0.0 for i in range(5)] for k in range(5)]
+    row_of = [j - n if j >= n else -1 for j in basis]
+    for j, k in zip(basis, row_of):
+        if k >= 0:
+            binv[k][k] = cols[j][k]  # +-1, its own inverse
+    untaken = [k for k in range(5) if k not in row_of]
+    for i, j in enumerate(basis):
+        if j < n:
+            d = _times(binv, cols[j])
+            k = max(untaken, key=lambda k: abs(d[k]))
+            if not abs(d[k]) > pivot_min:
+                return None
+            _eta(binv, d, k)
+            untaken.remove(k)
+            row_of[i] = k
+    return [binv[k] for k in row_of]
+
+
+def _equilibrated(master: MasterLP) -> tuple[list, tuple[float, ...]]:
+    """The solver's columns, surplus and slack columns last, and the
+    right-hand side, with each row divided by its scale; the right-hand
+    side is nonnegative."""
+    s0, s1, s2, s3, s4 = master.scale
+    cols = [(a / s0, b / s1, c / s2, d / s3, e / s4) for a, b, c, d, e in master.columns]
+    P1, P2 = master.budget
+    return cols + list(_EXTRA), (0.0, 0.0, P1 / s2, P2 / s3, 1.0 / s4)
 
 
 def _crash_basis(master: MasterLP, N: int) -> list[int]:
@@ -120,75 +252,102 @@ def _crash_basis(master: MasterLP, N: int) -> list[int]:
     ``within`` (row 4), R on the rate row whose ratio r_k / rho_k is
     smaller, the other rate row's surplus and both power slacks."""
     j = 1 + master.within
-    rho = -master.rows[:2, 0]
-    ratio = [master.rows[k, j] / rho[k] if rho[k] > 0.0 else np.inf for k in (0, 1)]
+    ratio = [
+        master.columns[j][k] / -master.columns[0][k] if master.columns[0][k] < 0.0 else math.inf
+        for k in (0, 1)
+    ]
     tight = 0 if ratio[0] <= ratio[1] else 1
     basis = [*range(N - _N_EXTRA, N), j]
     basis[tight] = 0
     return basis
 
 
-def _warm_basis(start: Sequence[int], A_ext: np.ndarray, b: np.ndarray) -> list[int] | None:
-    """Columns of ``start`` in this LP if they form a nonsingular basis
-    holding R whose basic solution is primal feasible, else ``None``."""
-    N = A_ext.shape[1]
-    n_struct = N - _N_EXTRA
+def _warm_basis(start, master: MasterLP, cols, b) -> tuple[list[int], list] | None:
+    """The basis of ``start`` in this LP with its inverse, if the basis
+    holds R and its basic solution is primal feasible, else ``None``.
+
+    The inverse an :class:`LpSolution` carries is reused only when the
+    basic columns it was built from equal this master's; rows whose
+    scale has grown since are rescaled.  Any other start is factorized,
+    and refused when a pivot is at most ``_PIVOT_MIN`` in size."""
+    N = len(cols)
+    n = N - _N_EXTRA
+    carried = start.inverse if isinstance(start, LpSolution) else None
+    labels = start.basis if isinstance(start, LpSolution) else start
     # -1 marks a column this LP lacks
-    cols = [
-        k if 0 <= k < n_struct else N + k if -_N_EXTRA <= k < 0 else -1 for k in map(int, start)
+    basis = [
+        k if 0 <= k < n else N + k if -_N_EXTRA <= k < 0 else -1 for k in map(int, labels)
     ]
-    if len(cols) != _M or min(cols, default=0) < 0 or len(set(cols)) != _M or 0 not in cols:
+    if len(basis) != 5 or min(basis, default=0) < 0 or len(set(basis)) != 5 or 0 not in basis:
         return None
-    B = A_ext[:, cols]
-    if not np.linalg.cond(B) <= _WARM_COND_MAX:
+    if carried is not None and carried.columns == tuple(
+        [master.columns[j] if j < n else None for j in basis]
+    ):
+        if carried.scale == master.scale:
+            binv = list(carried.rows)
+        else:
+            # With D = diag(old scale / new scale), the basis matrix is now
+            # D B E, where E undoes D on the unit surplus and slack columns;
+            # so its inverse is E^-1 B^-1 D^-1.
+            grow = [new / old for new, old in zip(master.scale, carried.scale)]
+            binv = [
+                [v * g / (grow[j - n] if j >= n else 1.0) for v, g in zip(row, grow)]
+                for j, row in zip(basis, carried.rows)
+            ]
+    else:
+        binv = _factorize(cols, basis, _PIVOT_MIN)
+        if binv is None:
+            return None
+    x_B = _times(binv, b)
+    if not min([x for j, x in zip(basis, x_B) if j != 0]) >= -FEAS_TOL:
         return None
-    x_B = np.linalg.solve(B, b)
-    x_B[cols.index(0)] = 0.0  # R is free
-    if not float(np.min(x_B)) >= -FEAS_TOL:
-        return None
-    return cols
+    return basis, binv
 
 
-def _simplex(
-    A_ext: np.ndarray, b: np.ndarray, costs: np.ndarray, basis: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Revised simplex maximizing ``costs`` over A_ext x = b, x >= 0
-    except for column 0, which is free once basic: the ratio test skips
-    its row, so it never leaves.  Returns the optimal basic solution
-    x_B and the duals y.
+def _pivot(cols, b, basis: list[int], binv: list) -> int:
+    """Revised simplex maximizing x_0 over sum_j cols[j] x_j = b, x >= 0
+    except for x_0, which is free and basic at the start: the ratio test
+    skips its row, so it never leaves.  ``cols`` holds 5-vectors, and
+    ``binv`` is the inverse of the starting basis as a list of rows.
+    Returns the number of pivots.
 
-    Mutates ``basis``.  Entering variable: lowest eligible index with
-    reduced cost above tolerance; leaving variable: minimum-ratio row,
-    ties (ratios equal to within ``RATIO_TIE_TOL``, relatively) broken
-    by lowest basic-variable index (Bland's rule).
+    Mutates ``basis``, and ``binv`` by one eta step per pivot so that it
+    stays the basis inverse.  The duals y are binv's row at x_0's
+    position, so the reduced cost of column j > 0 is -y . cols[j].
+    Entering variable: lowest eligible index with reduced cost above
+    tolerance; leaving variable: minimum-ratio row, ties (ratios equal
+    to within ``RATIO_TIE_TOL``, relatively) broken by lowest
+    basic-variable index (Bland's rule).
 
     A column whose computed direction is numerically zero while its
     reduced cost sits at the noise floor is retired rather than declared
     a recession ray: with equilibrated rows a genuine ray carries a
     clearly positive reduced cost.
     """
-    m, N = A_ext.shape
-    in_basis = np.zeros(N, dtype=bool)
-    in_basis[basis] = True
-    live = np.ones(N, dtype=bool)
+    free = basis.index(0)
+    bounded = [i for i in range(5) if i != free]
+    in_basis = set(basis)
+    retired = set()
+    pivots = 0
     for _ in range(_MAX_PIVOTS):
-        B = A_ext[:, basis]
-        x_B = np.linalg.solve(B, b)
-        bounded = [i for i in range(m) if basis[i] != 0]
-        if float(np.min(x_B[bounded], initial=0.0)) <= -1e-6:
+        x_B = _times(binv, b)
+        if min([x_B[i] for i in bounded]) <= -1e-6:
             raise RuntimeError("simplex basis lost primal feasibility")
-        y = np.linalg.solve(B.T, costs[basis])
-        reduced = costs - y @ A_ext
+        y0, y1, y2, y3, y4 = binv[free]
         enter = -1
-        for j in range(N):
-            if live[j] and not in_basis[j] and reduced[j] > COST_TOL:
+        for j, (a0, a1, a2, a3, a4) in enumerate(cols):
+            if (
+                y0 * a0 + y1 * a1 + y2 * a2 + y3 * a3 + y4 * a4 < -COST_TOL
+                and j not in in_basis
+                and j not in retired
+            ):
                 enter = j
                 break
         if enter < 0:
-            return x_B, y
-        d = np.linalg.solve(B, A_ext[:, enter])
+            return pivots
+        d = _times(binv, cols[enter])
         leave = -1
-        best_ratio = np.inf
+        best_ratio = math.inf
         for i in bounded:
             if d[i] > FEAS_TOL:
                 ratio = max(x_B[i], 0.0) / d[i]
@@ -199,58 +358,94 @@ def _simplex(
                     best_ratio = min(ratio, best_ratio)
                     leave = i
         if leave < 0:
-            if reduced[enter] <= 1e-7 and float(np.max(d)) <= 1e-9:
-                live[enter] = False
+            # d[free] = y . cols[enter], minus the reduced cost
+            if -d[free] <= 1e-7 and max(d) <= 1e-9:
+                retired.add(enter)
                 continue
             raise RuntimeError("simplex reported an unbounded master LP")
-        in_basis[basis[leave]] = False
-        in_basis[enter] = True
+        _eta(binv, d, leave)
+        pivots += 1
+        in_basis.discard(basis[leave])
+        in_basis.add(enter)
         basis[leave] = enter
     raise RuntimeError("simplex pivot limit exceeded")
 
 
-def lp_solve(master: MasterLP, start: Sequence[int] | None = None) -> LpSolution:
+def _simplex(cols, b, basis: list[int], binv: list) -> tuple[np.ndarray, np.ndarray, list]:
+    """Revised simplex from a feasible basis holding column 0, as in
+    :func:`_pivot`, returning the optimal basic solution x_B, the duals
+    y and the basis inverse, all from a fresh factorization of the final
+    basis: they carry no update error and depend on that basis alone.
+    Reduced costs near the tolerance can change sign under the update
+    error, so the basis must also pass the pricing with these duals;
+    else the pivoting resumes."""
+    free = basis.index(0)
+    _pivot(cols, b, basis, binv)
+    for _ in range(_MAX_PIVOTS):
+        # One batched LAPACK call with one right-hand side per system:
+        # the basis matrix against the unit vectors gives the columns of
+        # its inverse and against b the basic solution, and its transpose
+        # against e_free gives the duals.  (np.linalg.inv, which solves
+        # against a matrix right-hand side, raised peak RSS by 0.17 MB
+        # on its first call.)
+        B_T = np.array([cols[j] for j in basis])
+        systems = np.empty((7, 5, 5))
+        systems[:6] = B_T.T
+        systems[6] = B_T
+        rhs = _FINAL_RHS.copy()
+        rhs[5, :, 0] = b
+        rhs[6, free, 0] = 1.0
+        solved = np.linalg.solve(systems, rhs)[..., 0]
+        x_B, y = solved[5], solved[6]
+        binv = solved[:5].T.tolist()
+        binv[free] = y.tolist()
+        if not _pivot(cols, b, basis, binv):
+            return x_B, y, binv
+    raise RuntimeError("simplex pivot limit exceeded")
+
+
+def lp_solve(master: MasterLP, start=None) -> LpSolution:
     """Solve a master LP, reporting primal, duals and the optimal R.
 
-    ``start`` is the ``basis`` of an earlier solution of a master with
-    the same rows and possibly more strategies; when it is still a
-    feasible basis, the simplex resumes there instead of at the crash
-    basis."""
-    A = master.rows
-    rhs0 = master.rhs
-    n = A.shape[1]
-
-    # Equilibrate row scales; the right-hand side is nonnegative.
-    scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), rhs0)
-    scale[scale <= 0.0] = 1.0
-    A_norm = A / scale[:, None]
-    rhs = rhs0 / scale
-
-    A_ext = np.hstack([A_norm, _EXTRA])
-    N = A_ext.shape[1]
-    c_ext = np.zeros(N)
-    c_ext[0] = 1.0
-
-    basis = None if start is None else _warm_basis(start, A_ext, rhs)
-    if basis is None:
+    ``start`` resumes the simplex from an earlier solution of a master
+    with the same rows and possibly more strategies.  It is either that
+    :class:`LpSolution`, whose basis inverse is then reused without a
+    factorization as long as the basic columns are unchanged, or its
+    ``basis`` alone, which is factorized.  When the start is no longer
+    a feasible basis, the simplex begins at the crash basis instead."""
+    n = len(master.columns)
+    N = n + _N_EXTRA
+    scale = master.scale
+    P1, P2 = master.budget
+    cols, b = _equilibrated(master)
+    warm = None if start is None else _warm_basis(start, master, cols, b)
+    if warm is None:
         basis = _crash_basis(master, N)
-    x_B, y = _simplex(A_ext, rhs, c_ext, basis)
-
-    x_ext = np.zeros(N)
-    x_ext[basis] = np.maximum(x_B, 0.0)  # R >= 0: the rates are >= 0
-    primal = x_ext[:n]
-    # Undo the row scaling of the duals y = c_B B^{-1}.
-    y = y / scale
-
-    residual = A @ primal - rhs0
-    violation = np.concatenate([-residual[:2], residual[2:4], np.abs(residual[4:])])
-    bad = np.flatnonzero(violation > 1e-6 * np.maximum(1.0, scale))
-    if bad.size:
-        raise RuntimeError(f"simplex returned an infeasible point (row {bad[0]})")
+        binv = _factorize(cols, basis)
+    else:
+        basis, binv = warm
+    x_B, y, binv = _simplex(cols, b, basis, binv)
+    primal = np.zeros(n)
+    # residual of the unscaled rows, to which only basic columns add
+    q0, q1, q2, q3, q4 = 0.0, 0.0, -P1, -P2, -1.0
+    for j, x in zip(basis, x_B.tolist()):
+        if j < n:
+            x = max(x, 0.0)  # R >= 0: the rates are >= 0
+            primal[j] = x
+            a0, a1, a2, a3, a4 = master.columns[j]
+            q0, q1, q2, q3, q4 = q0 + a0 * x, q1 + a1 * x, q2 + a2 * x, q3 + a3 * x, q4 + a4 * x
+    for k, v in enumerate((-q0, -q1, q2, q3, abs(q4))):
+        if v > 1e-6 * max(1.0, scale[k]):
+            raise RuntimeError(f"simplex returned an infeasible point (row {k})")
 
     return LpSolution(
         primal=primal,
-        dual=y,
+        dual=y / np.array(scale),  # undo the row scaling of y = c_B B^-1
         objective=float(primal[0]),
         basis=tuple([k if k < n else k - N for k in basis]),
+        inverse=_Inverse(
+            tuple(binv),
+            tuple([master.columns[j] if j < n else None for j in basis]),
+            scale,
+        ),
     )

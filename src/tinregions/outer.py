@@ -47,6 +47,11 @@ MAX_ACTIVE_STRATEGIES = 4
 DUAL_SNAP_TOL = 1e-12
 #: Iterations after which the loop stops with status "max-cuts".
 MAX_CUTS = 200
+#: Smallest accepted ``epsilon_cp``.  The bounds are sums of rates of a
+#: few bits, so a tolerance below their rounding cannot be met: at 1e-20
+#: a sec6 profile ended in a duality-gap error, its recovered value and
+#: dual bound 8.9e-16 apart.
+EPSILON_CP_MIN = 1e-12
 
 __all__ = [
     "Cut",
@@ -94,8 +99,8 @@ class OuterConfig:
     epsilon_cp: float = 1e-4
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon_cp < math.inf:
-            raise ValueError("epsilon_cp must be finite and > 0")
+        if not EPSILON_CP_MIN <= self.epsilon_cp < math.inf:
+            raise ValueError(f"epsilon_cp must be finite and >= {EPSILON_CP_MIN:g}")
 
 
 @dataclass(frozen=True)
@@ -138,9 +143,9 @@ def _master_dual(y: np.ndarray) -> DualPoint:
     """(mu, lambda) from the master's row duals: mu_k is minus the dual
     of rate row k and lambda_k the dual of power row k, with rounding
     residue snapped to zero and negatives clamped."""
-    v = np.array([-y[0], -y[1], y[2], y[3]])
-    v[np.abs(v) <= DUAL_SNAP_TOL * max(1.0, float(np.abs(v).max()))] = 0.0
-    return DualPoint(*[max(float(x), 0.0) for x in v])
+    v = [-float(y[0]), -float(y[1]), float(y[2]), float(y[3])]
+    snap = DUAL_SNAP_TOL * max(1.0, *map(abs, v))
+    return DualPoint(*[x if x > snap else 0.0 for x in v])
 
 
 def achieved_dual_value(dual: DualPoint, budget: PowerBudget, cut: Cut) -> float:
@@ -153,6 +158,17 @@ def achieved_dual_value(dual: DualPoint, budget: PowerBudget, cut: Cut) -> float
         - dual.lambda1 * cut.p[0]
         - dual.lambda2 * cut.p[1]
     )
+
+
+def _duplicate(p: tuple[float, float], cuts: list[Cut]) -> bool:
+    """Whether a cut lies within ``DUPLICATE_CUT_TOL`` of ``p`` in both
+    powers."""
+    x, y = p
+    for cut in cuts:
+        cx, cy = cut.p
+        if abs(x - cx) <= DUPLICATE_CUT_TOL and abs(y - cy) <= DUPLICATE_CUT_TOL:
+            return True
+    return False
 
 
 def _single_user_result(
@@ -220,22 +236,19 @@ def cutting_plane(
     p_init = (0.5 * budget.p1, 0.5 * budget.p2)
     cuts: list[Cut] = [Cut(p_init, rate_pair_proper(ch, p_init), "initial")]
     for cut in initial_cuts or ():
-        if all(
-            abs(cut.p[0] - c.p[0]) > DUPLICATE_CUT_TOL
-            or abs(cut.p[1] - c.p[1]) > DUPLICATE_CUT_TOL
-            for c in cuts
-        ):
+        if not _duplicate(cut.p, cuts):
             cuts.append(cut)
     evaluated: list[tuple[float, DualPoint]] = []
     lower_history: list[float] = []
     upper_history: list[float] = []
     lower = -math.inf
     status = "max-cuts"
-    basis = None
+    master = master_lp(cuts, budget, profile)
+    sol = None
     for _ in range(MAX_CUTS):
-        # the previous basis stays feasible: a new cut only appends a column
-        sol = lp_solve(master_lp(cuts, budget, profile), start=basis)
-        basis = sol.basis
+        # the previous basis stays feasible, and its inverse stays valid:
+        # a new cut only appends a column
+        sol = lp_solve(master, start=sol)
         lower = float(sol.objective)
         dual = _master_dual(sol.dual)
         res = bnb_solve(ch, dual, power_cap)
@@ -251,11 +264,7 @@ def cutting_plane(
         upper = min(v for v, _ in evaluated)
         lower_history.append(lower)
         upper_history.append(upper)
-        duplicate = any(
-            abs(p_new[0] - c.p[0]) <= DUPLICATE_CUT_TOL
-            and abs(p_new[1] - c.p[1]) <= DUPLICATE_CUT_TOL
-            for c in cuts
-        )
+        duplicate = _duplicate(p_new, cuts)
         if upper - lower <= cfg.epsilon_cp:
             if not duplicate:
                 cuts.append(new_cut)
@@ -265,6 +274,7 @@ def cutting_plane(
             status = "stalled"
             break
         cuts.append(new_cut)
+        master = master.appended(new_cut.rates.r1, new_cut.rates.r2, *p_new)
 
     upper = min(v for v, _ in evaluated)
     dual_star = min(evaluated, key=lambda item: item[0])[1]
@@ -276,7 +286,7 @@ def cutting_plane(
         status=status,
         lower_history=tuple(lower_history),
         upper_history=tuple(upper_history),
-        basis=basis,
+        basis=sol.basis,
     )
 
 

@@ -146,6 +146,17 @@ class TestRegionCommand:
         )
         assert not (tmp_path / "x").exists()
 
+    def test_eps_cp_below_float_resolution_exits_2(self, channel_file, tmp_path, capsys):
+        # the loop cannot close a gap below the rounding of its bounds; at
+        # 1e-20 a profile used to end in a duality-gap error (exit 3)
+        out = tmp_path / "x.csv"
+        args = ["region", "--channel", channel_file, "--method", "ts-proper", "--betas", "3"]
+        assert main([*args, "--eps-cp", "1e-20", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: epsilon_cp")
+        assert not out.exists()
+        assert main([*args, "--eps-cp", "1e-10", "--out", str(out)]) == 0
+        assert all(r["status"] == "ok" for r in read_region_csv(out))
+
     def test_missing_channel_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["region", "--method", "ts-proper", "--out", str(tmp_path / "x.csv")])

@@ -84,24 +84,27 @@ def test_master_needs_nonnegative_rates_and_a_positive_rho():
         MasterLP([[1.0, 2.0], [1.0, 2.0]], [[1.0, 1.0], [1.0, 1.0]], (10.0, 10.0), (0.0, 0.0))
 
 
+def _unit_columns():
+    return [tuple(row) for row in np.eye(5)]
+
+
 def test_infeasible_start_basis_raises():
     # a real error, not an assert, so it also fires under python -O
+    cols = _unit_columns()
     with pytest.raises(RuntimeError, match="feasibility"):
-        lp_module._simplex(np.eye(2), np.array([1.0, -1.0]), np.zeros(2), [0, 1])
+        lp_module._simplex(cols, (1.0, -1.0, 1.0, 1.0, 1.0), [0, 1, 2, 3, 4], _unit_columns())
 
 
 def test_unbounded_phase_2_raises():
-    # tau_2 raises the objective without bound; R's row (column 0 is
-    # basic) has d > 0 but is skipped, so no row can leave
+    # x_0 - x_5 = 1: x_5 raises the objective without bound, and only
+    # x_0's row, which the ratio test skips, changes with it
+    cols = _unit_columns() + [(-1.0, 0.0, 0.0, 0.0, 0.0)]
     with pytest.raises(RuntimeError, match="unbounded"):
-        lp_module._simplex(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([0.0, 1.0]), [0])
+        lp_module._simplex(cols, (1.0, 1.0, 1.0, 1.0, 1.0), [0, 1, 2, 3, 4], _unit_columns())
+    # x_0 = x_5 and x_1 - x_5 = 1: x_5 also raises the bounded x_1
+    cols = _unit_columns() + [(-1.0, -1.0, 0.0, 0.0, 0.0)]
     with pytest.raises(RuntimeError, match="unbounded"):
-        lp_module._simplex(
-            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]]),
-            np.array([0.0, 1.0]),
-            np.array([0.0, 0.0, 1.0]),
-            [0, 1],
-        )
+        lp_module._simplex(cols, (0.0, 1.0, 1.0, 1.0, 1.0), [0, 1, 2, 3, 4], _unit_columns())
 
 
 def test_malformed_dimensions_rejected():
@@ -203,13 +206,18 @@ def test_vertex_solutions():
 
 
 def test_ratio_ties_are_relative():
-    # ratios 1.349e-8 (row 0) and 1.284e-8 (row 1) differ by 5 %; the
-    # minimum must leave, or row 1's basic value falls to -0.0137
-    A_ext = np.array([[1.0, 1.0, 0.0], [2.1e7, 0.0, 1.0]])
-    b = np.array([1.349e-8, 2.1e7 * 1.284e-8])
-    basis = [1, 2]
-    lp_module._simplex(A_ext, b, np.array([1.0, 0.0, 0.0]), basis)
-    assert basis == [1, 0]
+    # x_0 = x_1 enters the ratio test of rows 1 and 2 (rows 3 and 4 are
+    # slack) with ratios 1.349e-8 and 1.284e-8, 5 % apart; the minimum
+    # row must leave, or row 2's basic value falls to -0.0137
+    cols = [
+        (1.0, 0.0, 0.0, 0.0, 0.0),
+        (-1.0, 1.0, 2.1e7, 0.0, 0.0),
+        *_unit_columns()[1:],
+    ]
+    b = (0.0, 1.349e-8, 2.1e7 * 1.284e-8, 1.0, 1.0)
+    basis = [0, 2, 3, 4, 5]
+    lp_module._simplex(cols, b, basis, _unit_columns())
+    assert basis == [0, 2, 1, 4, 5]
 
 
 def _counting_simplex(monkeypatch):
@@ -292,3 +300,144 @@ def test_crash_basis_finds_a_later_strategy():
     assert sol.objective == pytest.approx(brute_force_optimum(master), abs=1e-12)
     assert sol.objective == pytest.approx(4.0, abs=1e-12)
     assert sol.primal == pytest.approx([4.0, 0.5, 0.5], abs=1e-12)
+
+
+def _chain_masters(links=70):
+    """A master over three interleaved chains of strategies, and the
+    master over the chains' last strategies alone.  Along a chain the
+    powers stay and every rate grows, so each strategy dominates the
+    ones before it: both masters have the same optimum, and Bland's
+    rule climbs the chains one pivot at a time."""
+    steps = np.arange(links) / links
+    chains = [  # (rates at the chain's start, rate growth along it, powers)
+        ((0.5, 0.5), (1.0, 1.0), (5.0, 5.0)),
+        ((2.0, 0.3), (1.5, 0.2), (14.0, 3.0)),
+        ((0.4, 2.5), (0.2, 1.5), (2.0, 16.0)),
+    ]
+    r = np.array([[r0[k] + g[k] * s for s in steps for r0, g, _ in chains] for k in (0, 1)])
+    p = np.array([[pw[k] for _ in steps for _, _, pw in chains] for k in (0, 1)])
+    return (
+        MasterLP(r, p, (10.0, 10.0), (0.4, 0.6)),
+        MasterLP(r[:, -3:], p[:, -3:], (10.0, 10.0), (0.4, 0.6)),
+    )
+
+
+def _fresh_inverse(cols, basis):
+    return np.linalg.inv(np.array([cols[j] for j in basis]).T)
+
+
+def test_eta_updates_do_not_drift_over_many_pivots():
+    master, reduced = _chain_masters()
+    assert len(master.columns) - 1 >= 200
+    sol = lp_solve(master)
+    assert sol.objective == pytest.approx(brute_force_optimum(reduced), abs=1e-12)
+    # the pivot loop's own inverse, updated by every pivot from the
+    # crash basis on, against fresh factorizations of the final basis
+    cols, b = lp_module._equilibrated(master)
+    basis = lp_module._crash_basis(master, len(cols))
+    binv = lp_module._factorize(cols, basis)
+    assert lp_module._pivot(cols, b, basis, binv) >= 200
+    assert tuple(k if k < len(cols) - 4 else k - len(cols) for k in basis) == sol.basis
+    fresh = _fresh_inverse(cols, basis)
+    assert np.abs(np.array(binv) - fresh).max() <= 1e-12
+    assert np.abs(np.array(lp_module._factorize(cols, basis)) - fresh).max() <= 1e-12
+    assert np.abs(np.array(sol.inverse.rows) - fresh).max() <= 1e-12
+
+
+def _counting_factorize(monkeypatch):
+    calls = []
+    original = lp_module._factorize
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(lp_module, "_factorize", counting)
+    return calls
+
+
+def test_warm_start_rescales_the_carried_inverse(monkeypatch):
+    # the new strategy's rates and user-1 power exceed every earlier
+    # one, so three row scales grow; the carried inverse is rescaled,
+    # not factorized again, and the solve matches the cold one
+    rng = np.random.default_rng(48)
+    factorized = _counting_factorize(monkeypatch)
+    for _ in range(20):
+        old = _random_master(rng, int(rng.integers(2, 8)))
+        new = old.appended(7.0, 6.0, 25.0, 3.0)
+        assert all(a < b for a, b in zip(old.scale[:3], new.scale[:3]))
+        start = lp_solve(old)
+        cold = lp_solve(new)
+        cols, b = lp_module._equilibrated(new)
+        del factorized[:]
+        basis, binv = lp_module._warm_basis(start, new, cols, b)
+        warm = lp_solve(new, start=start)
+        assert not factorized
+        assert np.abs(np.array(binv) - _fresh_inverse(cols, basis)).max() <= 1e-12
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert warm.primal == pytest.approx(cold.primal, abs=1e-12)
+        assert warm.dual == pytest.approx(cold.dual, abs=1e-12)
+
+
+def test_inverse_from_another_master_is_not_reused(monkeypatch):
+    # a basic column with other rates, or another profile (R's column),
+    # makes the start factorize its basis as if given by labels alone
+    rng = np.random.default_rng(49)
+    factorized = _counting_factorize(monkeypatch)
+    for _ in range(20):
+        r, p, budget, rho = _random_master_args(rng, int(rng.integers(2, 8)))
+        start = lp_solve(MasterLP(r, p, budget, rho))
+        j = max(start.basis)  # a basic weight: the crash basis holds one
+        moved = r.copy()
+        moved[:, j - 1] *= 1.01
+        for master in (MasterLP(moved, p, budget, rho), MasterLP(r, p, budget, (0.5, 0.5))):
+            del factorized[:]
+            sol = lp_solve(master, start=start)
+            assert factorized
+            by_labels = lp_solve(master, start=start.basis)
+            assert sol.primal.tobytes() == by_labels.primal.tobytes()
+            assert sol.dual.tobytes() == by_labels.dual.tobytes()
+            assert sol.basis == by_labels.basis
+
+
+def test_warm_starts_are_bitwise_repeatable():
+    rng = np.random.default_rng(50)
+    for _ in range(10):
+        old = _random_master(rng, int(rng.integers(2, 8)))
+        new = old.appended(*rng.uniform(0.0, 8.0, 2), *rng.uniform(0.0, 25.0, 2))
+        start = lp_solve(old)
+        a = lp_solve(new, start=start)
+        b = lp_solve(new, start=start)
+        assert a.primal.tobytes() == b.primal.tobytes()
+        assert a.dual.tobytes() == b.dual.tobytes()
+        assert a.basis == b.basis and a.inverse == b.inverse
+
+
+def test_fresh_duals_recheck_the_final_basis():
+    # x_0 - 1.5e-10 x_5 = 1 and x_1 + x_5 = 1: x_5 prices at 1.5e-10,
+    # just above COST_TOL.  An inverse whose dual row is off by 1e-10
+    # prices it at 0.5e-10 and stops; the duals of the fresh
+    # factorization must bring x_5 in all the same.
+    cols = _unit_columns() + [(-1.5e-10, 1.0, 0.0, 0.0, 0.0)]
+    b = (1.0, 1.0, 1.0, 1.0, 1.0)
+    binv = _unit_columns()
+    binv[0] = (1.0, 1e-10, 0.0, 0.0, 0.0)
+    basis = [0, 1, 2, 3, 4]
+    assert lp_module._pivot(cols, b, list(basis), list(binv)) == 0
+    x_B, y, _ = lp_module._simplex(cols, b, basis, binv)
+    assert basis == [0, 5, 2, 3, 4]
+    assert x_B[0] == 1.0 + 1.5e-10
+    assert y.tolist() == [1.0, 1.5e-10, 0.0, 0.0, 0.0]
+
+
+def test_nearly_singular_start_is_refused():
+    # two weights whose columns differ by 1e-14 in one entry make the
+    # factorization's last pivot that small: the warm-start pivot test
+    # refuses the basis, though it is not exactly singular
+    tau = (0.5, 0.5, 0.3, 0.3, 1.0)
+    cols = [(-0.5, -0.5, 0.0, 0.0, 0.0), tau, (0.5 + 1e-14, *tau[1:]), *lp_module._EXTRA]
+    basis = [0, 1, 2, 5, 6]
+    assert lp_module._factorize(cols, basis, lp_module._PIVOT_MIN) is None
+    binv = lp_module._factorize(cols, basis)
+    assert binv is not None and np.abs(np.array(binv)).max() > 1e12
+    assert lp_module._factorize(cols, [0, 1, 4, 5, 6], lp_module._PIVOT_MIN) is not None

@@ -204,6 +204,12 @@ class TestCuttingPlane:
         with pytest.raises(ValueError, match="epsilon_cp"):
             OuterConfig(epsilon_cp=eps)
 
+    def test_config_rejects_epsilon_below_float_resolution(self):
+        for eps in (1e-20, 0.999e-12):
+            with pytest.raises(ValueError, match="epsilon_cp"):
+                OuterConfig(epsilon_cp=eps)
+        assert OuterConfig(epsilon_cp=outer.EPSILON_CP_MIN).epsilon_cp == 1e-12
+
     def test_zero_budget_rejected(self, sec6):
         with pytest.raises(ValueError):
             cutting_plane(sec6, PowerBudget(0.0, 10.0), RateProfile(0.5))
@@ -212,25 +218,37 @@ class TestCuttingPlane:
         calls = []
         warm = []
 
+        factorized = []
+
         def recording(lp, start=None):
             sol = lp_solve(lp, start=start)
-            calls.append((start, sol.basis))
+            calls.append((start, sol))
             return sol
 
         original = lp_module._warm_basis
+        factorize = lp_module._factorize
 
         def warm_basis(*args):
             cols = original(*args)
             warm.append(cols is not None)
             return cols
 
+        def counting_factorize(*args):
+            factorized.append(1)
+            return factorize(*args)
+
         monkeypatch.setattr(outer, "lp_solve", recording)
         monkeypatch.setattr(lp_module, "_warm_basis", warm_basis)
+        monkeypatch.setattr(lp_module, "_factorize", counting_factorize)
         cp = cutting_plane(sec6, budget10, RateProfile(0.5))
         assert len(calls) == len(cp.lower_history) >= 3
         assert calls[0][0] is None
-        assert all(start == prev for (start, _), (_, prev) in zip(calls[1:], calls))
+        # each start is the previous solution, whose basis inverse is
+        # reused: only the first master's crash basis is factorized
+        assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
         assert warm == [True] * (len(calls) - 1)
+        assert len(factorized) == 1
+        assert cp.basis == calls[-1][1].basis
 
     def test_warm_start_reaches_same_value(self, sec6, budget10):
         cold = cutting_plane(sec6, budget10, RateProfile(0.5))
