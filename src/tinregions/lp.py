@@ -8,14 +8,16 @@ The solver keeps an explicit inverse of the 5 x 5 basis and updates it
 by one eta (rank-one) step per pivot, the product form of the revised
 simplex (Dantzig & Orchard-Hays, 1954).  The basic solution and the
 entering column are then products with that inverse, and the duals are
-its row at R's position, since R is the only column with a cost.  The
-updates round, so before a solution is reported its basis is factorized
-again from the original (row-equilibrated) columns: the returned primal,
-duals and objective carry no update error and depend only on the final
-basis, which must also pass the pricing with the fresh duals (a reduced
-cost near the tolerance can change sign under the update error).  The
-fresh inverse travels with the solution, so a warm start from it costs
-no factorization.  Pivoting uses Bland's rule throughout, which rules
+its row at R's position, since R is the only column with a cost.  One
+routine factorizes: a batched LAPACK solve on the original
+(row-equilibrated) columns, run on the crash basis of a cold solve and
+on every final basis.  The updates round, so before a solution is
+reported its basis is factorized afresh: the returned primal, duals and
+objective carry no update error and depend only on the final basis,
+which must also pass the pricing with the fresh duals (a reduced cost
+near the tolerance can change sign under the update error).  The fresh
+inverse travels with the solution, so a warm start from it costs no
+factorization.  Pivoting uses Bland's rule throughout, which rules
 out cycling and makes the solver deterministic: identical inputs
 produce bitwise-identical outputs.  Returned solutions are basic
 (vertex) solutions, so at most five weights are positive.
@@ -30,20 +32,20 @@ other rate row and both power slacks basic.  R is a free column that is
 basic from the start and never leaves the basis.  The solver's columns
 are R, tau_1 ... tau_L, the surplus columns of the rate rows and the
 slack columns of the power rows.  A solve can resume from an earlier
-solution (``start``): structural columns are numbered from the front and
-the last four from the end, so a basis stays valid when tau columns are
-appended to a master with unchanged rows, and the old basis is then
-still primal feasible (the new weights start nonbasic at zero).  A
-start that does not map onto a nonsingular, primal feasible basis
-holding R falls back to the crash basis.  Only the final factorization
-calls numpy; the pivots run on Python floats, whose arithmetic on a
-5 x 5 basis costs less than numpy's per-call overhead.
+:class:`LpSolution` (``start``): structural columns are numbered from
+the front and the last four from the end, so a basis stays valid when
+tau columns are appended to a master with unchanged rows, and the old
+basis is then still primal feasible (the new weights start nonbasic at
+zero).  Its inverse is reused when its basic columns are this master's;
+any other start, or one whose basis is no longer primal feasible, falls
+back to the crash basis.  Only the factorization calls numpy; the
+pivots run on Python floats, whose arithmetic on a 5 x 5 basis costs
+less than numpy's per-call overhead.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -60,10 +62,6 @@ COST_TOL = 1e-10
 RATIO_TIE_TOL = 1e-12
 _TIE_LOW = 1.0 - RATIO_TIE_TOL
 _TIE_HIGH = 1.0 + RATIO_TIE_TOL
-#: A warm-start basis is refused when a pivot of its factorization is no
-#: larger than this.  The rows are equilibrated to entries of at most 1,
-#: so such a pivot marks a basis that is singular or nearly so.
-_PIVOT_MIN = 1e-12
 _MAX_PIVOTS = 50_000
 #: Surplus (rate rows) and slack (power rows) columns, the last four
 #: columns of every master, in the equilibrated rows.
@@ -74,11 +72,11 @@ _EXTRA = (
     (0.0, 0.0, 0.0, 1.0, 0.0),
 )
 _N_EXTRA = 4
-#: Right-hand sides of the final solve: the five unit vectors, then two
+#: Right-hand sides of the factorization: the five unit vectors, then two
 #: filled in per solve (the right-hand side b and the unit vector of
 #: R's position), each as a 5 x 1 column.
-_FINAL_RHS = np.zeros((7, 5, 1))
-_FINAL_RHS[range(5), range(5), 0] = 1.0
+_SOLVE_RHS = np.zeros((7, 5, 1))
+_SOLVE_RHS[range(5), range(5), 0] = 1.0
 
 
 class MasterLP:
@@ -90,10 +88,9 @@ class MasterLP:
     ``rates`` and ``powers`` are 2 x L (row k for user k + 1),
     ``budget`` is (P1, P2) and ``rho`` the rate profile.  ``columns``
     holds the 1 + L columns as tuples of five Python floats, R first;
-    ``rows`` is the same 5 x (1 + L) constraint matrix as an array and
-    ``rhs`` is (0, 0, P1, P2, 1).  ``scale`` holds each row's
-    equilibration scale (its largest magnitude, right-hand side
-    included).  ``within`` is the index of the first strategy whose
+    ``rows`` is the same 5 x (1 + L) constraint matrix as an array.
+    ``scale`` holds each row's equilibration scale (its largest
+    magnitude, right-hand side included).  ``within`` is the index of the first strategy whose
     powers lie within both budgets; the simplex starts there.
     ``ValueError`` unless every value is finite, the budgets are >= 0,
     the rates are >= 0, rho has a positive entry and some strategy lies
@@ -162,10 +159,6 @@ class MasterLP:
     def rows(self) -> np.ndarray:
         return np.array(self.columns).T
 
-    @property
-    def rhs(self) -> np.ndarray:
-        return np.array([0.0, 0.0, *self.budget, 1.0])
-
 
 class _Inverse(NamedTuple):
     """The inverse of an optimal basis, for a warm start: ``rows`` is the
@@ -189,7 +182,7 @@ class LpSolution:
     basis: tuple[int, ...]
     #: the inverse of that basis, which a warm start from this solution
     #: reuses instead of factorizing the basis again
-    inverse: _Inverse | None = field(default=None, repr=False, compare=False)
+    inverse: _Inverse = field(repr=False, compare=False)
 
 
 def _times(rows, v) -> list[float]:
@@ -207,34 +200,6 @@ def _eta(binv: list, d: list[float], r: int) -> None:
     for i, di in enumerate(d):
         if i != r and di != 0.0:
             binv[i] = [u - di * v for u, v in zip(binv[i], row)]
-
-
-def _factorize(cols, basis: Sequence[int], pivot_min: float = 0.0) -> list | None:
-    """The inverse of the basis matrix, whose column i is
-    ``cols[basis[i]]``, as a list of rows; ``None`` if a pivot is at most
-    ``pivot_min`` in size.
-
-    Product form: the surplus and slack columns are signed unit columns
-    and invert in place; every other column enters by one eta step,
-    pivoting on the row not yet taken where its product with the inverse
-    so far is largest (partial pivoting)."""
-    n = len(cols) - _N_EXTRA
-    binv = [[1.0 if i == k else 0.0 for i in range(5)] for k in range(5)]
-    row_of = [j - n if j >= n else -1 for j in basis]
-    for j, k in zip(basis, row_of):
-        if k >= 0:
-            binv[k][k] = cols[j][k]  # +-1, its own inverse
-    untaken = [k for k in range(5) if k not in row_of]
-    for i, j in enumerate(basis):
-        if j < n:
-            d = _times(binv, cols[j])
-            k = max(untaken, key=lambda k: abs(d[k]))
-            if not abs(d[k]) > pivot_min:
-                return None
-            _eta(binv, d, k)
-            untaken.remove(k)
-            row_of[i] = k
-    return [binv[k] for k in row_of]
 
 
 def _equilibrated(master: MasterLP) -> tuple[list, tuple[float, ...]]:
@@ -262,42 +227,29 @@ def _crash_basis(master: MasterLP, N: int) -> list[int]:
     return basis
 
 
-def _warm_basis(start, master: MasterLP, cols, b) -> tuple[list[int], list] | None:
-    """The basis of ``start`` in this LP with its inverse, if the basis
-    holds R and its basic solution is primal feasible, else ``None``.
-
-    The inverse an :class:`LpSolution` carries is reused only when the
-    basic columns it was built from equal this master's; rows whose
-    scale has grown since are rescaled.  Any other start is factorized,
-    and refused when a pivot is at most ``_PIVOT_MIN`` in size."""
+def _warm_basis(start: LpSolution, master: MasterLP, cols, b) -> tuple[list[int], list] | None:
+    """The basis of ``start`` in this LP with the inverse it carries, if
+    the basic columns that inverse was built from equal this master's
+    and its basic solution is primal feasible, else ``None``.  Rows
+    whose scale has grown since are rescaled."""
     N = len(cols)
     n = N - _N_EXTRA
-    carried = start.inverse if isinstance(start, LpSolution) else None
-    labels = start.basis if isinstance(start, LpSolution) else start
-    # -1 marks a column this LP lacks
-    basis = [
-        k if 0 <= k < n else N + k if -_N_EXTRA <= k < 0 else -1 for k in map(int, labels)
-    ]
-    if len(basis) != 5 or min(basis, default=0) < 0 or len(set(basis)) != 5 or 0 not in basis:
+    basis = [k if k >= 0 else N + k for k in start.basis]
+    carried = start.inverse
+    # a structural label beyond this master maps to None and cannot match
+    if carried.columns != tuple([master.columns[j] if j < n else None for j in basis]):
         return None
-    if carried is not None and carried.columns == tuple(
-        [master.columns[j] if j < n else None for j in basis]
-    ):
-        if carried.scale == master.scale:
-            binv = list(carried.rows)
-        else:
-            # With D = diag(old scale / new scale), the basis matrix is now
-            # D B E, where E undoes D on the unit surplus and slack columns;
-            # so its inverse is E^-1 B^-1 D^-1.
-            grow = [new / old for new, old in zip(master.scale, carried.scale)]
-            binv = [
-                [v * g / (grow[j - n] if j >= n else 1.0) for v, g in zip(row, grow)]
-                for j, row in zip(basis, carried.rows)
-            ]
+    if carried.scale == master.scale:
+        binv = list(carried.rows)
     else:
-        binv = _factorize(cols, basis, _PIVOT_MIN)
-        if binv is None:
-            return None
+        # With D = diag(old scale / new scale), the basis matrix is now
+        # D B E, where E undoes D on the unit surplus and slack columns;
+        # so its inverse is E^-1 B^-1 D^-1.
+        grow = [new / old for new, old in zip(master.scale, carried.scale)]
+        binv = [
+            [v * g / (grow[j - n] if j >= n else 1.0) for v, g in zip(row, grow)]
+            for j, row in zip(basis, carried.rows)
+        ]
     x_B = _times(binv, b)
     if not min([x for j, x in zip(basis, x_B) if j != 0]) >= -FEAS_TOL:
         return None
@@ -371,16 +323,20 @@ def _pivot(cols, b, basis: list[int], binv: list) -> int:
     raise RuntimeError("simplex pivot limit exceeded")
 
 
-def _simplex(cols, b, basis: list[int], binv: list) -> tuple[np.ndarray, np.ndarray, list]:
+def _simplex(
+    cols, b, basis: list[int], binv: list | None = None
+) -> tuple[np.ndarray, np.ndarray, list]:
     """Revised simplex from a feasible basis holding column 0, as in
     :func:`_pivot`, returning the optimal basic solution x_B, the duals
     y and the basis inverse, all from a fresh factorization of the final
     basis: they carry no update error and depend on that basis alone.
     Reduced costs near the tolerance can change sign under the update
     error, so the basis must also pass the pricing with these duals;
-    else the pivoting resumes."""
+    else the pivoting resumes.  Without ``binv``, the inverse of the
+    starting basis, the solve begins with that factorization."""
     free = basis.index(0)
-    _pivot(cols, b, basis, binv)
+    if binv is not None:
+        _pivot(cols, b, basis, binv)
     for _ in range(_MAX_PIVOTS):
         # One batched LAPACK call with one right-hand side per system:
         # the basis matrix against the unit vectors gives the columns of
@@ -392,7 +348,7 @@ def _simplex(cols, b, basis: list[int], binv: list) -> tuple[np.ndarray, np.ndar
         systems = np.empty((7, 5, 5))
         systems[:6] = B_T.T
         systems[6] = B_T
-        rhs = _FINAL_RHS.copy()
+        rhs = _SOLVE_RHS.copy()
         rhs[5, :, 0] = b
         rhs[6, free, 0] = 1.0
         solved = np.linalg.solve(systems, rhs)[..., 0]
@@ -404,26 +360,24 @@ def _simplex(cols, b, basis: list[int], binv: list) -> tuple[np.ndarray, np.ndar
     raise RuntimeError("simplex pivot limit exceeded")
 
 
-def lp_solve(master: MasterLP, start=None) -> LpSolution:
+def lp_solve(master: MasterLP, start: LpSolution | None = None) -> LpSolution:
     """Solve a master LP, reporting primal, duals and the optimal R.
 
     ``start`` resumes the simplex from an earlier solution of a master
-    with the same rows and possibly more strategies.  It is either that
-    :class:`LpSolution`, whose basis inverse is then reused without a
-    factorization as long as the basic columns are unchanged, or its
-    ``basis`` alone, which is factorized.  When the start is no longer
-    a feasible basis, the simplex begins at the crash basis instead."""
+    with the same rows and possibly more strategies: its basis inverse
+    is reused without a factorization as long as the basic columns are
+    unchanged.  Any other start, or one that is no longer a feasible
+    basis, begins at the crash basis instead.  ``TypeError`` unless
+    ``start`` is an :class:`LpSolution` or ``None``."""
+    if start is not None and not isinstance(start, LpSolution):
+        raise TypeError(f"start must be an LpSolution or None, not {type(start).__name__}")
     n = len(master.columns)
     N = n + _N_EXTRA
     scale = master.scale
     P1, P2 = master.budget
     cols, b = _equilibrated(master)
     warm = None if start is None else _warm_basis(start, master, cols, b)
-    if warm is None:
-        basis = _crash_basis(master, N)
-        binv = _factorize(cols, basis)
-    else:
-        basis, binv = warm
+    basis, binv = (_crash_basis(master, N), None) if warm is None else warm
     x_B, y, binv = _simplex(cols, b, basis, binv)
     primal = np.zeros(n)
     # residual of the unscaled rows, to which only basic columns add

@@ -18,26 +18,26 @@ bound, and the duals of its rate and power rows are the next trial
 (mu, lambda) (Dantzig-Wolfe column generation).  A new cut appends one
 column, so each iteration resumes the simplex from the previous optimal
 basis.  The time-sharing weights are recovered from the same master
-over the accumulated cuts, again from the loop's last basis; its vertex
-structure activates at most four strategies.
+over the accumulated cuts, again from the loop's last solution, whose
+basis inverse carries over; its vertex structure activates at most four
+strategies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .inner import DualPoint
 from .inner import stationary_solve as bnb_solve  # callers wrap outer.bnb_solve to trace it
-from .lp import MasterLP, lp_solve
+from .lp import LpSolution, MasterLP, lp_solve
 from .model import ChannelRealization, PowerBudget, RatePair, RateProfile, rate_pair_proper
 
 _LN2 = math.log(2.0)
 
 DUPLICATE_CUT_TOL = 1e-12
-ACTIVE_TAU_TOL = 1e-9
 MAX_ACTIVE_STRATEGIES = 4
 #: Master duals within this fraction of the largest (or of 1) are set
 #: to exactly zero.  The basis solve leaves rounding residue such as
@@ -112,9 +112,9 @@ class CuttingPlaneResult:
     status: str  # "converged" | "stalled" | "max-cuts"
     lower_history: tuple[float, ...] = ()  # relaxation value per iteration
     upper_history: tuple[float, ...] = ()  # running best dual bound
-    #: optimal basis of the last master solve, a warm start for the
-    #: recovery over ``cuts`` (None for the closed-form endpoints)
-    basis: tuple[int, ...] | None = None
+    #: the last master solution, a warm start for the recovery over
+    #: ``cuts`` (None for the closed-form endpoints)
+    solution: LpSolution | None = field(default=None, compare=False, repr=False)
 
     @property
     def converged(self) -> bool:
@@ -286,7 +286,7 @@ def cutting_plane(
         status=status,
         lower_history=tuple(lower_history),
         upper_history=tuple(upper_history),
-        basis=sol.basis,
+        solution=sol,
     )
 
 
@@ -295,17 +295,19 @@ def primal_recover(
     cuts: tuple[Cut, ...] | list[Cut],
     budget: PowerBudget,
     profile: RateProfile,
-    start: tuple[int, ...] | None = None,
+    start: LpSolution | None = None,
 ) -> TimeSharingSolution:
     """Optimal time-sharing weights over the generated power vectors.
 
     Solves the master LP (:func:`master_lp`): max R subject to average
     rates at least rho_k * R, average powers within budget and weights
     on the simplex.  The LP has five rows, so its vertex solution
-    activates at most four strategies; weights below 1e-9 are pruned.
-    ``start`` is a basis of the master over a prefix of ``cuts``, such as
-    ``CuttingPlaneResult.basis``; the simplex resumes from it when it is
-    still feasible (see :func:`~tinregions.lp.lp_solve`).
+    activates at most four strategies; every positive weight is kept,
+    however small, since near an axis a tiny weight can carry all of
+    one user's rate.  ``start`` is a solution of the master over a
+    prefix of ``cuts``, such as ``CuttingPlaneResult.solution``; the
+    simplex resumes from it and its basis inverse when it is still
+    feasible (see :func:`~tinregions.lp.lp_solve`).
     """
     cuts = list(cuts)
     if not cuts:
@@ -313,7 +315,7 @@ def primal_recover(
     rho1, rho2 = profile.rho
     sol = lp_solve(master_lp(cuts, budget, profile), start=start)
     taus = sol.primal[1:]
-    active = [(float(t), cut) for t, cut in zip(taus, cuts) if t > ACTIVE_TAU_TOL]
+    active = [(float(t), cut) for t, cut in zip(taus, cuts) if t > 0.0]
     if len(active) > MAX_ACTIVE_STRATEGIES:
         raise RuntimeError(
             f"{len(active)} active strategies exceed the guaranteed maximum of 4"
@@ -339,7 +341,7 @@ def ts_point(
     """One point of the time-sharing boundary: run the cutting-plane loop
     and recover the primal mixture from its cuts."""
     cp = cutting_plane(ch, budget, profile, cfg, initial_cuts=initial_cuts)
-    solution = primal_recover(ch, cp.cuts, budget, profile, start=cp.basis)
+    solution = primal_recover(ch, cp.cuts, budget, profile, start=cp.solution)
     if cp.converged and abs(cp.upper - solution.R) > 2.0 * cfg.epsilon_cp:
         raise RuntimeError(
             f"duality gap violation: recovered {solution.R}, dual bound {cp.upper}"

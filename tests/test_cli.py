@@ -237,6 +237,14 @@ class TestSolveCommand:
         assert doc["R"] == pytest.approx(5.40086611903573, abs=1e-3)
         assert len(doc["strategies"]) == 1
 
+    def test_near_axis_profile_exits_0(self, channel_file, tmp_path):
+        # the light user's rate rests on a weight of about 2e-10
+        out = tmp_path / "axis.json"
+        assert main(["solve", "--channel", channel_file, "--beta", "1e-9", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "converged" and len(doc["strategies"]) == 3
+        assert doc["R"] == pytest.approx(3.4423, abs=1e-4)
+
     def test_deterministic_documents(self, channel_file, tmp_path):
         texts = []
         for name in ("s1.json", "s2.json"):

@@ -13,14 +13,20 @@ EQUAL = "="
 RELATIONS = (GREATER, GREATER, LESS, LESS, EQUAL)
 
 
+def _rhs(master: MasterLP) -> np.ndarray:
+    """The master's right-hand side (0, 0, P1, P2, 1)."""
+    return np.array([0.0, 0.0, *master.budget, 1.0])
+
+
 def brute_force_optimum(master: MasterLP):
     """Enumerate basic solutions over (R, tau): pick n linearly
     independent active constraints among the rows and the tau_j = 0
     bounds (R is free), solve, keep the feasible best.  Independent of
     the simplex path."""
     rows = master.rows
+    rhs_all = _rhs(master)
     n = rows.shape[1]
-    candidates = [(rows[i], float(master.rhs[i])) for i in range(len(rows))]
+    candidates = [(rows[i], float(rhs_all[i])) for i in range(len(rows))]
     for j in range(1, n):
         e = np.zeros(n)
         e[j] = 1.0
@@ -35,7 +41,7 @@ def brute_force_optimum(master: MasterLP):
             continue
         x = np.linalg.solve(A, b)
         ok = bool(np.all(x[1:] >= -1e-9))
-        for coeffs, rel, rhs in zip(rows, RELATIONS, master.rhs):
+        for coeffs, rel, rhs in zip(rows, RELATIONS, rhs_all):
             v = float(np.dot(coeffs, x))
             if rel == LESS and v > rhs + 1e-9:
                 ok = False
@@ -157,7 +163,7 @@ def test_random_lps_match_enumeration_oracle():
         sol = lp_solve(master)
         want = brute_force_optimum(master)
         assert sol.objective == pytest.approx(want, abs=1e-7)
-        residual = master.rows @ sol.primal - master.rhs
+        residual = master.rows @ sol.primal - _rhs(master)
         assert np.all(residual[:2] >= -1e-9)
         assert np.all(residual[2:4] <= 1e-9)
         assert abs(residual[4]) <= 1e-9
@@ -187,14 +193,14 @@ def test_strong_duality_and_complementary_slackness():
         sol = lp_solve(master)
         y = sol.dual
         # strong duality: the optimum equals the dual bound y^T b
-        assert sol.objective == pytest.approx(float(y @ master.rhs), abs=1e-7)
+        assert sol.objective == pytest.approx(float(y @ _rhs(master)), abs=1e-7)
         # dual feasibility: prices of the right signs, R priced exactly,
         # no tau column with positive reduced cost
         assert np.all(y[:2] <= 1e-9) and np.all(y[2:4] >= -1e-9)
         assert float(y @ master.rows[:, 0]) == pytest.approx(1.0, abs=1e-9)
         assert np.all(y @ master.rows[:, 1:] >= -1e-9)
         # complementary slackness: a nonzero price only on an active row
-        slack = master.rows @ sol.primal - master.rhs
+        slack = master.rows @ sol.primal - _rhs(master)
         assert np.all(np.abs(y * slack) <= 1e-7)
 
 
@@ -220,15 +226,16 @@ def test_ratio_ties_are_relative():
     assert basis == [0, 2, 1, 4, 5]
 
 
-def _counting_simplex(monkeypatch):
+def _counting(monkeypatch, name):
+    """The calls made to ``lp_module.<name>`` from now on, one entry each."""
     calls = []
-    original = lp_module._simplex
+    original = getattr(lp_module, name)
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(lp_module, "_simplex", counting)
+    monkeypatch.setattr(lp_module, name, counting)
     return calls
 
 
@@ -245,7 +252,7 @@ def test_basis_counts_extra_columns_from_the_end():
 
 def test_warm_start_after_appending_columns_matches_cold(monkeypatch):
     rng = np.random.default_rng(46)
-    calls = _counting_simplex(monkeypatch)
+    calls = _counting(monkeypatch, "_simplex")
     for _ in range(30):
         n_old = int(rng.integers(1, 8))
         r, p, budget, rho = _random_master_args(rng, n_old + int(rng.integers(1, 4)))
@@ -253,39 +260,49 @@ def test_warm_start_after_appending_columns_matches_cold(monkeypatch):
         old = lp_solve(MasterLP(r[:, :n_old], p[:, :n_old], budget, rho))
         cold = lp_solve(full)
         del calls[:]
-        warm = lp_solve(full, start=old.basis)
+        warm = lp_solve(full, start=old)
         assert len(calls) == 1
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
         assert warm.primal[0] == pytest.approx(cold.primal[0], abs=1e-12)
-        assert lp_solve(full, start=old.basis).primal.tobytes() == warm.primal.tobytes()
+        assert lp_solve(full, start=old).primal.tobytes() == warm.primal.tobytes()
 
 
-def test_unusable_start_falls_back_to_cold():
-    # columns: R 0, tau 1 and 2, then surplus -4 and -3 and slack -2 and
-    # -1; the optimal basis is (0, 1, 2, -3, -1)
+def _assert_same_solution(a, b):
+    assert a.primal.tobytes() == b.primal.tobytes()
+    assert a.dual.tobytes() == b.dual.tobytes()
+    assert a.basis == b.basis
+
+
+def test_unusable_start_falls_back_to_cold(monkeypatch):
+    # the optimal basis of the box master, (0, 1, 2, -3, -1), holds
+    # tau = (0.5, 0.5); against user 2's budget of 4 the same columns
+    # and row scales give user 2's power slack a basic value of -1
     master = _box_master()
-    cold = lp_solve(master)
-    assert sorted(cold.basis) == [-3, -1, 0, 1, 2]
-    starts = [
-        (0, 1, 2, -3, -2),  # infeasible: the user-1 slack at -10
-        (0, 1, 1, -3, -1),  # repeated column, singular
-        (0, 1, 2, -4, -3),  # both surpluses, singular
-        (-4, 1, 2, -3, -1),  # without R
-        (0, 1, 2, -3),  # one column short
-        (0, 1, 9, -3, -1),  # no such strategy
-        (0, 1, 2, -5, -1),  # before the extra columns
-    ]
-    for start in starts:
-        sol = lp_solve(master, start=start)
-        assert sol.primal.tobytes() == cold.primal.tobytes()
-        assert sol.dual.tobytes() == cold.dual.tobytes()
-        assert sol.basis == cold.basis
+    start = lp_solve(master)
+    assert sorted(start.basis) == [-3, -1, 0, 1, 2]
+    tight = MasterLP([[0.0, 4.0], [0.0, 6.0]], [[0.0, 20.0], [0.0, 10.0]], (10.0, 4.0), (0.5, 0.5))
+    assert tight.columns == master.columns and tight.scale == master.scale
+    cols, b = lp_module._equilibrated(tight)
+    assert lp_module._warm_basis(start, tight, cols, b) is None
+    crashed = _counting(monkeypatch, "_crash_basis")
+    cold = lp_solve(tight)
+    _assert_same_solution(lp_solve(tight, start=start), cold)
+    assert len(crashed) == 2
+
+
+def test_start_must_be_a_solution():
+    master = _box_master()
+    for start in ((0, 1, 2, -3, -1), [0, 1, 2, -3, -1], lp_solve(master).inverse):
+        with pytest.raises(TypeError, match="LpSolution"):
+            lp_solve(master, start=start)
 
 
 def test_cold_start_runs_one_simplex_pass(monkeypatch):
-    master = _random_master(np.random.default_rng(47), 4)
-    calls = _counting_simplex(monkeypatch)
-    sol = lp_solve(master, start=(0,) * 5)
+    rng = np.random.default_rng(47)
+    master = _random_master(rng, 4)
+    other = lp_solve(_random_master(rng, 4))
+    calls = _counting(monkeypatch, "_simplex")
+    sol = lp_solve(master, start=other)
     assert len(calls) == 1
     assert sol.objective == lp_solve(master).objective
     assert len(calls) == 2
@@ -335,33 +352,21 @@ def test_eta_updates_do_not_drift_over_many_pivots():
     # crash basis on, against fresh factorizations of the final basis
     cols, b = lp_module._equilibrated(master)
     basis = lp_module._crash_basis(master, len(cols))
-    binv = lp_module._factorize(cols, basis)
+    binv = _fresh_inverse(cols, basis).tolist()
     assert lp_module._pivot(cols, b, basis, binv) >= 200
     assert tuple(k if k < len(cols) - 4 else k - len(cols) for k in basis) == sol.basis
     fresh = _fresh_inverse(cols, basis)
     assert np.abs(np.array(binv) - fresh).max() <= 1e-12
-    assert np.abs(np.array(lp_module._factorize(cols, basis)) - fresh).max() <= 1e-12
     assert np.abs(np.array(sol.inverse.rows) - fresh).max() <= 1e-12
-
-
-def _counting_factorize(monkeypatch):
-    calls = []
-    original = lp_module._factorize
-
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(lp_module, "_factorize", counting)
-    return calls
 
 
 def test_warm_start_rescales_the_carried_inverse(monkeypatch):
     # the new strategy's rates and user-1 power exceed every earlier
     # one, so three row scales grow; the carried inverse is rescaled,
-    # not factorized again, and the solve matches the cold one
+    # the solve does not fall back to the crash basis, and it matches
+    # the cold one
     rng = np.random.default_rng(48)
-    factorized = _counting_factorize(monkeypatch)
+    crashed = _counting(monkeypatch, "_crash_basis")
     for _ in range(20):
         old = _random_master(rng, int(rng.integers(2, 8)))
         new = old.appended(7.0, 6.0, 25.0, 3.0)
@@ -369,10 +374,10 @@ def test_warm_start_rescales_the_carried_inverse(monkeypatch):
         start = lp_solve(old)
         cold = lp_solve(new)
         cols, b = lp_module._equilibrated(new)
-        del factorized[:]
+        del crashed[:]
         basis, binv = lp_module._warm_basis(start, new, cols, b)
         warm = lp_solve(new, start=start)
-        assert not factorized
+        assert not crashed
         assert np.abs(np.array(binv) - _fresh_inverse(cols, basis)).max() <= 1e-12
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
         assert warm.primal == pytest.approx(cold.primal, abs=1e-12)
@@ -380,24 +385,25 @@ def test_warm_start_rescales_the_carried_inverse(monkeypatch):
 
 
 def test_inverse_from_another_master_is_not_reused(monkeypatch):
-    # a basic column with other rates, or another profile (R's column),
-    # makes the start factorize its basis as if given by labels alone
+    # a basic column with other rates, another profile (R's column), or
+    # a master without the last basic weight: the start falls back to
+    # the crash basis, and from there the solve is the cold one bit for
+    # bit
     rng = np.random.default_rng(49)
-    factorized = _counting_factorize(monkeypatch)
+    crashed = _counting(monkeypatch, "_crash_basis")
     for _ in range(20):
         r, p, budget, rho = _random_master_args(rng, int(rng.integers(2, 8)))
         start = lp_solve(MasterLP(r, p, budget, rho))
         j = max(start.basis)  # a basic weight: the crash basis holds one
         moved = r.copy()
         moved[:, j - 1] *= 1.01
-        for master in (MasterLP(moved, p, budget, rho), MasterLP(r, p, budget, (0.5, 0.5))):
-            del factorized[:]
-            sol = lp_solve(master, start=start)
-            assert factorized
-            by_labels = lp_solve(master, start=start.basis)
-            assert sol.primal.tobytes() == by_labels.primal.tobytes()
-            assert sol.dual.tobytes() == by_labels.dual.tobytes()
-            assert sol.basis == by_labels.basis
+        others = [MasterLP(moved, p, budget, rho), MasterLP(r, p, budget, (0.5, 0.5))]
+        if j > 1:
+            others.append(MasterLP(r[:, : j - 1], p[:, : j - 1], budget, rho))
+        for master in others:
+            del crashed[:]
+            _assert_same_solution(lp_solve(master, start=start), lp_solve(master))
+            assert len(crashed) == 2
 
 
 def test_warm_starts_are_bitwise_repeatable():
@@ -428,16 +434,3 @@ def test_fresh_duals_recheck_the_final_basis():
     assert basis == [0, 5, 2, 3, 4]
     assert x_B[0] == 1.0 + 1.5e-10
     assert y.tolist() == [1.0, 1.5e-10, 0.0, 0.0, 0.0]
-
-
-def test_nearly_singular_start_is_refused():
-    # two weights whose columns differ by 1e-14 in one entry make the
-    # factorization's last pivot that small: the warm-start pivot test
-    # refuses the basis, though it is not exactly singular
-    tau = (0.5, 0.5, 0.3, 0.3, 1.0)
-    cols = [(-0.5, -0.5, 0.0, 0.0, 0.0), tau, (0.5 + 1e-14, *tau[1:]), *lp_module._EXTRA]
-    basis = [0, 1, 2, 5, 6]
-    assert lp_module._factorize(cols, basis, lp_module._PIVOT_MIN) is None
-    binv = lp_module._factorize(cols, basis)
-    assert binv is not None and np.abs(np.array(binv)).max() > 1e12
-    assert lp_module._factorize(cols, [0, 1, 4, 5, 6], lp_module._PIVOT_MIN) is not None

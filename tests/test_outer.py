@@ -217,8 +217,7 @@ class TestCuttingPlane:
     def test_each_iteration_resumes_from_the_previous_basis(self, sec6, budget10, monkeypatch):
         calls = []
         warm = []
-
-        factorized = []
+        crashed = []
 
         def recording(lp, start=None):
             sol = lp_solve(lp, start=start)
@@ -226,29 +225,29 @@ class TestCuttingPlane:
             return sol
 
         original = lp_module._warm_basis
-        factorize = lp_module._factorize
+        crash_basis = lp_module._crash_basis
 
         def warm_basis(*args):
             cols = original(*args)
             warm.append(cols is not None)
             return cols
 
-        def counting_factorize(*args):
-            factorized.append(1)
-            return factorize(*args)
+        def counting_crash(*args):
+            crashed.append(1)
+            return crash_basis(*args)
 
         monkeypatch.setattr(outer, "lp_solve", recording)
         monkeypatch.setattr(lp_module, "_warm_basis", warm_basis)
-        monkeypatch.setattr(lp_module, "_factorize", counting_factorize)
+        monkeypatch.setattr(lp_module, "_crash_basis", counting_crash)
         cp = cutting_plane(sec6, budget10, RateProfile(0.5))
         assert len(calls) == len(cp.lower_history) >= 3
         assert calls[0][0] is None
         # each start is the previous solution, whose basis inverse is
-        # reused: only the first master's crash basis is factorized
+        # reused: only the first master starts at the crash basis
         assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
         assert warm == [True] * (len(calls) - 1)
-        assert len(factorized) == 1
-        assert cp.basis == calls[-1][1].basis
+        assert len(crashed) == 1
+        assert cp.solution is calls[-1][1]
 
     def test_warm_start_reaches_same_value(self, sec6, budget10):
         cold = cutting_plane(sec6, budget10, RateProfile(0.5))
@@ -286,8 +285,8 @@ class TestPrimalRecover:
 
     def test_warm_start_from_the_loop_basis(self, sec6, budget10, monkeypatch):
         # the final cut only appends a column, so the loop's last master
-        # basis is still feasible: phase 1 is skipped and the recovered
-        # mixture is the cold one, bit for bit
+        # solution is still feasible and its inverse is reused; the
+        # recovered mixture is the cold one, bit for bit
         starts = []
         warm_basis = lp_module._warm_basis
 
@@ -300,10 +299,10 @@ class TestPrimalRecover:
             profile = RateProfile(beta)
             cp = cutting_plane(sec6, budget10, profile)
             starts.clear()
-            warm = primal_recover(sec6, cp.cuts, budget10, profile, start=cp.basis)
+            warm = primal_recover(sec6, cp.cuts, budget10, profile, start=cp.solution)
             assert len(starts) == 1 and starts[0] is not None
             assert warm == primal_recover(sec6, cp.cuts, budget10, profile)
-        assert cutting_plane(sec6, budget10, RateProfile(1.0)).basis is None
+        assert cutting_plane(sec6, budget10, RateProfile(1.0)).solution is None
 
     def test_rates_consistent_with_power_vectors(self, sec6, budget10):
         cp = cutting_plane(sec6, budget10, RateProfile(0.35))
@@ -325,6 +324,15 @@ class TestTsPoint:
         a = ts_point(sec6, budget10, RateProfile(0.5))
         b = ts_point(sec6, budget10, RateProfile(0.5))
         assert a == b
+
+    @pytest.mark.parametrize("beta", [1e-12, 1e-10, 1e-9, 1.0 - 1e-10, 1.0 - 1e-12])
+    def test_near_axis_profile_keeps_its_tiny_weight(self, sec6, budget10, beta):
+        # within about 1e-9 of an axis, a weight of that order is all the
+        # rate the light user gets; dropping it recovered R = 0
+        sol, cp = ts_point(sec6, budget10, RateProfile(beta))
+        assert cp.converged and len(sol.strategies) == 3
+        assert min(t for t, _, _ in sol.strategies) < 1e-9
+        assert abs(sol.R - cp.upper) <= 1.3e-5
 
     def test_duplicate_cut_keeps_lp_optimum(self, sec6, budget10):
         profile = RateProfile(0.5)

@@ -19,6 +19,7 @@ from tinregions import (
     theorem1_check,
     upper_right_hull,
 )
+from tinregions import lp as lp_module
 from tinregions import regions
 from tinregions.model import TWO_PI
 from tinregions.regions import _profile_value, boundary_violation
@@ -369,6 +370,37 @@ class TestSweepBoundary:
             sweep_boundary("nope", sec6, budget10, [0.5])
         with pytest.raises(ValueError):
             sweep_boundary("ts-proper", sec6, budget10, [])
+
+    def test_ts_sweep_starts_cold_once_per_profile(self, sec6, budget10, monkeypatch):
+        # every warm start of the sweep, the loop's and the recovery's,
+        # keeps its carried inverse; each profile starts one master at
+        # the crash basis (its loop's first, or an endpoint's recovery)
+        events = []
+        warm_basis, crash_basis = lp_module._warm_basis, lp_module._crash_basis
+        ts_point = regions.ts_point
+
+        def warm(*args):
+            found = warm_basis(*args)
+            events.append("warm" if found is not None else "fallback")
+            return found
+
+        def crash(*args):
+            events.append("crash")
+            return crash_basis(*args)
+
+        def point(*args, **kwargs):
+            events.append("profile")
+            return ts_point(*args, **kwargs)
+
+        monkeypatch.setattr(lp_module, "_warm_basis", warm)
+        monkeypatch.setattr(lp_module, "_crash_basis", crash)
+        monkeypatch.setattr(regions, "ts_point", point)
+        rows = regions.ts_sweep(sec6, budget10, np.linspace(0.0, 1.0, 101))
+        assert len(rows) == 101
+        assert "fallback" not in events
+        per_profile = " ".join(events).split("profile")[1:]
+        assert len(per_profile) == 101
+        assert all(p.split().count("crash") == 1 for p in per_profile)
 
 
 @pytest.fixture(scope="module")
