@@ -5,7 +5,8 @@ Three subcommands over a JSON channel file:
 * ``region``  sweep one boundary construction over rate profiles and
   write a CSV (columns ``method,beta,r1,r2,R,status``);
 * ``solve``   one time-sharing boundary point with the recovered
-  strategy mixture, as a JSON document;
+  strategy mixture, as a JSON document; each strategy names the origin
+  of its cut (``tdma`` when the closed-form TDMA point was certified);
 * ``verify``  run the verification suites and report pass/fail.
 
 Exit codes: 0 success, 2 unusable input (including budgets, ``--beta``
@@ -134,6 +135,7 @@ def cmd_region(args, budget: PowerBudget, cfg: RegionConfig) -> int:
 def cmd_solve(args, budget: PowerBudget, cfg: RegionConfig) -> int:
     ch = load_channel(args.channel)
     solution, cp = ts_point(ch, budget, RateProfile(args.beta), cfg.outer)
+    origin = {c.p: c.origin for c in cp.cuts}
     doc = {
         "R": solution.R,
         "beta": args.beta,
@@ -142,7 +144,7 @@ def cmd_solve(args, budget: PowerBudget, cfg: RegionConfig) -> int:
         "cuts": len(cp.cuts),
         "status": cp.status,
         "strategies": [
-            {"tau": t, "p1": p[0], "p2": p[1], "r1": r.r1, "r2": r.r2}
+            {"tau": t, "p1": p[0], "p2": p[1], "r1": r.r1, "r2": r.r2, "origin": origin[p]}
             for t, p, r in solution.strategies
         ],
     }

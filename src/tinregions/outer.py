@@ -21,6 +21,18 @@ basis.  The time-sharing weights are recovered from the same master
 over the accumulated cuts, again from the loop's last solution, whose
 basis inverse carries over; its vertex structure activates at most four
 strategies.
+
+Before the loop, :func:`ts_point` tries one mixture in closed form.
+Coded time-sharing averages powers as well as rates, so "TDMA", where
+each user transmits alone for a share t_k of the time at power
+P_k / t_k, is a feasible mixture; on many channels it is the optimum.
+Its time share solves rho2 t C1(P1/t) = rho1 (1 - t) C2(P2/(1 - t))
+with C_k(p) = log2(1 + g_kk p / n_k), and its KKT dual prices each
+user's power at its marginal rate, lambda_k = mu_k C_k'(p_k), with mu
+proportional to (a2, a1), a_k = C_k(p_k) - p_k C_k'(p_k), and
+mu . rho = 1.  One oracle call at that dual bounds the optimum from
+above; when the bound is not capped and lies within ``epsilon_cp`` of
+the TDMA value, the mixture is returned without running the loop.
 """
 
 from __future__ import annotations
@@ -72,7 +84,7 @@ class Cut:
 
     p: tuple[float, float]
     rates: RatePair
-    origin: str  # "initial" | "stationary" | "capped"
+    origin: str  # "initial" | "stationary" | "capped" | "tdma"
 
 
 @dataclass(frozen=True)
@@ -113,7 +125,7 @@ class CuttingPlaneResult:
     lower_history: tuple[float, ...] = ()  # relaxation value per iteration
     upper_history: tuple[float, ...] = ()  # running best dual bound
     #: the last master solution, a warm start for the recovery over
-    #: ``cuts`` (None for the closed-form endpoints)
+    #: ``cuts`` (None for the closed-form endpoints and TDMA points)
     solution: LpSolution | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -202,6 +214,12 @@ def _single_user_result(
     )
 
 
+def _power_cap(budget: PowerBudget) -> float:
+    """The oracle's power cap: the side of the box it searches when a
+    price is zero, and the largest slot power a TDMA point may use."""
+    return 1e3 * max(budget.p1, budget.p2)
+
+
 def cutting_plane(
     ch: ChannelRealization,
     budget: PowerBudget,
@@ -232,7 +250,7 @@ def cutting_plane(
     if (budget.p1 <= 0.0 and rho1 > 0.0) or (budget.p2 <= 0.0 and rho2 > 0.0):
         raise ValueError("budget must be positive for every user with positive weight")
 
-    power_cap = 1e3 * max(budget.p1, budget.p2)
+    power_cap = _power_cap(budget)
     p_init = (0.5 * budget.p1, 0.5 * budget.p2)
     cuts: list[Cut] = [Cut(p_init, rate_pair_proper(ch, p_init), "initial")]
     for cut in initial_cuts or ():
@@ -331,6 +349,108 @@ def primal_recover(
     return TimeSharingSolution(strategies=strategies, R=min(values))
 
 
+def _tdma_share(ch: ChannelRealization, budget: PowerBudget, profile: RateProfile, power_cap):
+    """Time share t of user 1 in the balanced TDMA mixture, or None when
+    a slot power P1 / t or P2 / (1 - t) would exceed ``power_cap``.
+
+    rho2 t C1(P1/t) - rho1 (1 - t) C2(P2/(1 - t)) rises with t (the
+    perspective t C(P/t) of a concave C with C(0) = 0 rises), so its
+    sign change is bisected down to adjacent floats inside the shares
+    whose slot powers stay within the cap.
+    """
+    g11, _, _, g22 = ch.gains
+    (rho1, rho2), (P1, P2) = profile.rho, (budget.p1, budget.p2)
+
+    def excess(t):
+        s = 1.0 - t
+        return rho2 * t * math.log1p(g11 * P1 / (t * ch.noise1)) - rho1 * s * math.log1p(
+            g22 * P2 / (s * ch.noise2)
+        )
+
+    lo, hi = P1 / power_cap, 1.0 - P2 / power_cap
+    if not (lo < hi and excess(lo) < 0.0 < excess(hi)):
+        return None
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if excess(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _slot_power(budget_k: float, share: float) -> float:
+    """P_k / share, lowered by ulps until share times it stays within P_k."""
+    p = budget_k / share
+    while share * p > budget_k:
+        p = math.nextafter(p, 0.0)
+    return p
+
+
+def _tdma_point(
+    ch: ChannelRealization, budget: PowerBudget, profile: RateProfile, cfg: OuterConfig
+) -> tuple[TimeSharingSolution, CuttingPlaneResult] | None:
+    """The balanced TDMA mixture with its dual certificate, or None when
+    it is not certified optimal to within ``epsilon_cp``.
+
+    No certificate is tried at an endpoint profile, with a zero direct
+    gain or budget, or when a slot power would exceed the loop's power
+    cap.  Otherwise the oracle is called once at the TDMA point's KKT
+    dual; its value plus the power bill and its gap is a dual bound, and
+    the certificate is refused when the oracle raises, does not
+    converge, is capped, or leaves that bound more than ``epsilon_cp``
+    above the TDMA value.
+    """
+    g11, _, _, g22 = ch.gains
+    (rho1, rho2), (P1, P2) = profile.rho, (budget.p1, budget.p2)
+    if min(rho1, rho2, g11, g22, P1, P2) <= 0.0:
+        return None
+    power_cap = _power_cap(budget)
+    t = _tdma_share(ch, budget, profile, power_cap)
+    if t is None:
+        return None
+    s = 1.0 - t
+    p1, p2 = _slot_power(P1, t), _slot_power(P2, s)
+    cuts = (
+        Cut((p1, 0.0), rate_pair_proper(ch, (p1, 0.0)), "tdma"),
+        Cut((0.0, p2), rate_pair_proper(ch, (0.0, p2)), "tdma"),
+    )
+    solution = TimeSharingSolution(
+        strategies=((t, cuts[0].p, cuts[0].rates), (s, cuts[1].p, cuts[1].rates)),
+        R=min(t * cuts[0].rates.r1 / rho1, s * cuts[1].rates.r2 / rho2),
+    )
+
+    # the slope C_k'(p_k) and the tangent's intercept a_k of each slot
+    d1 = g11 / ((ch.noise1 + g11 * p1) * _LN2)
+    d2 = g22 / ((ch.noise2 + g22 * p2) * _LN2)
+    a1 = cuts[0].rates.r1 - p1 * d1
+    a2 = cuts[1].rates.r2 - p2 * d2
+    scale = rho1 * a2 + rho2 * a1
+    mu1, mu2 = a2 / scale, a1 / scale
+    dual = DualPoint(mu1, mu2, mu1 * d1, mu2 * d2)
+    try:
+        res = bnb_solve(ch, dual, power_cap)
+    except RuntimeError:
+        return None
+    if res.capped or not res.converged:
+        return None
+    best = Cut(res.p, rate_pair_proper(ch, res.p), "stationary")
+    upper = achieved_dual_value(dual, budget, best) + res.gap
+    if not upper - solution.R <= cfg.epsilon_cp:
+        return None
+    cp = CuttingPlaneResult(
+        dual=dual,
+        cuts=cuts,
+        lower=solution.R,
+        upper=upper,
+        status="converged",
+        lower_history=(solution.R,),
+        upper_history=(upper,),
+    )
+    return solution, cp
+
+
 def ts_point(
     ch: ChannelRealization,
     budget: PowerBudget,
@@ -338,10 +458,22 @@ def ts_point(
     cfg: OuterConfig = OuterConfig(),
     initial_cuts: tuple[Cut, ...] | list[Cut] | None = None,
 ) -> tuple[TimeSharingSolution, CuttingPlaneResult]:
-    """One point of the time-sharing boundary: run the cutting-plane loop
-    and recover the primal mixture from its cuts."""
-    cp = cutting_plane(ch, budget, profile, cfg, initial_cuts=initial_cuts)
-    solution = primal_recover(ch, cp.cuts, budget, profile, start=cp.solution)
+    """One point of the time-sharing boundary.
+
+    The balanced TDMA mixture is tried first (:func:`_tdma_point`): when
+    one oracle call at its KKT dual certifies it to within
+    ``epsilon_cp``, its two strategies (cut origin ``"tdma"``) are
+    returned with that bound as ``upper``, and no LP is solved.  When
+    the certificate is refused or not tried (endpoint profiles, a zero
+    direct gain or budget, a slot power above the loop's cap), the
+    cutting-plane loop runs from ``initial_cuts`` exactly as without it,
+    and the primal mixture is recovered from its cuts."""
+    found = _tdma_point(ch, budget, profile, cfg)
+    if found is None:
+        cp = cutting_plane(ch, budget, profile, cfg, initial_cuts=initial_cuts)
+        solution = primal_recover(ch, cp.cuts, budget, profile, start=cp.solution)
+    else:
+        solution, cp = found
     if cp.converged and abs(cp.upper - solution.R) > 2.0 * cfg.epsilon_cp:
         raise RuntimeError(
             f"duality gap violation: recovered {solution.R}, dual bound {cp.upper}"

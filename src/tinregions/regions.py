@@ -424,7 +424,8 @@ def ts_sweep(
     with cuts from its neighbours (generated power vectors are valid
     cuts for every profile).  The pool keeps the active strategies plus
     the freshest cuts, capped so the master LP keeps few columns over a
-    long sweep."""
+    long sweep.  A profile certified at its TDMA point runs no loop, so
+    its two strategies go in front of the pool it was handed."""
     out = []
     pool: tuple = ()
     for beta in betas:
@@ -433,7 +434,8 @@ def ts_sweep(
         if 0.0 < beta < 1.0:
             active_p = {p for _, p, _ in solution.strategies}
             active = tuple(c for c in cp.cuts if c.p in active_p)
-            recent = tuple(c for c in cp.cuts[-28:] if c.p not in active_p)
+            fresh = pool if cp.cuts[0].origin == "tdma" else cp.cuts[-28:]
+            recent = tuple(c for c in fresh if c.p not in active_p)
             pool = (active + recent)[:32]
         out.append((beta, solution, cp))
     return out

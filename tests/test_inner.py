@@ -17,7 +17,6 @@ from tinregions import (
     proper_rates,
     stationary_solve,
     ts_point,
-    ts_sweep,
 )
 from tinregions import inner, outer
 from tinregions.inner import LAMBDA_FLOOR, _f, _params, _single_user_max
@@ -512,11 +511,21 @@ def recorded(module, name, run):
         setattr(module, name, original)
 
 
+def loop_sweep(ch, budget, betas):
+    """The cutting-plane loop at every profile, each warm-started from
+    the previous profile's last 32 cuts.  The ts-proper sweep certifies
+    most sec6 profiles at their TDMA point without the loop, so the
+    oracle's loop workload is collected here."""
+    pool = ()
+    for beta in betas:
+        pool = outer.cutting_plane(ch, budget, RateProfile(float(beta)), initial_cuts=pool).cuts[-32:]
+
+
 def sweep_duals(ch, budget, count, seed):
     """A seeded subset of the duals (with power caps) that the
-    101-profile ts-proper sweep hands to the inner oracle."""
+    cutting-plane loop hands to the inner oracle over 101 profiles."""
     betas = np.linspace(0.0, 1.0, 101)
-    _, calls = recorded(outer, "bnb_solve", lambda: ts_sweep(ch, budget, betas))
+    _, calls = recorded(outer, "bnb_solve", lambda: loop_sweep(ch, budget, betas))
     rng = np.random.default_rng(seed)
     return [calls[i][1:] for i in sorted(rng.choice(len(calls), count, replace=False))]
 
@@ -723,13 +732,14 @@ def assert_partners(want, got, tol):
 
 @pytest.fixture(scope="module")
 def oracle_polynomials(sec6, budget10):
-    """Every polynomial the sec6 ts-proper sweep and one round of the
-    benchmark's channel family (seed 1) hand to ``_real_roots``."""
+    """Every polynomial that the cutting-plane loop hands to
+    ``_real_roots`` over a sec6 101-profile sweep and one round of the
+    benchmark's channel family (seed 1)."""
 
     def run():
-        ts_sweep(sec6, budget10, np.linspace(0.0, 1.0, 101))
+        loop_sweep(sec6, budget10, np.linspace(0.0, 1.0, 101))
         for m in family(1):
-            ts_point(m.ch, PowerBudget(*m.P), RateProfile(m.beta))
+            outer.cutting_plane(m.ch, PowerBudget(*m.P), RateProfile(m.beta))
 
     return [list(args[0]) for args in recorded(inner, "_real_roots", run)[1]]
 
@@ -897,7 +907,7 @@ class TestResultantRoundingBound:
 
         def run():
             stationary_solve(ch, dual, 1e4)
-            ts_point(ch, PowerBudget(10.0, 10.0), RateProfile(beta))
+            outer.cutting_plane(ch, PowerBudget(10.0, 10.0), RateProfile(beta))
 
         calls = recorded(inner, "_eliminant_roots", run)[1]
         assert len(calls) > 10

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tinregions import (
 )
 from tinregions import lp as lp_module
 from tinregions import outer
-from test_inner import assert_matches_reference, recorded
+from test_inner import assert_matches_bnb, assert_matches_reference, recorded
 
 GREATER = ">="
 EQUAL = "="
@@ -357,6 +358,127 @@ class TestTsPoint:
         sol, cp = ts_point(ch, PowerBudget(10.0, p2), RateProfile(0.5), cfg)
         assert cp.converged
         assert abs(sol.R - cp.upper) <= 2.0 * cfg.epsilon_cp
+
+
+class TestTdmaCertificate:
+    """Each user alone for a share of the time, at its budget over that
+    share, certified by one oracle call at the mixture's KKT dual."""
+
+    @staticmethod
+    def tdma_value(ch, budget, beta, t):
+        """Balanced value of the TDMA mixture with user 1's share ``t``."""
+        g11, _, _, g22 = ch.gains
+        r1 = t * np.log2(1.0 + g11 * budget.p1 / (t * ch.noise1))
+        r2 = (1.0 - t) * np.log2(1.0 + g22 * budget.p2 / ((1.0 - t) * ch.noise2))
+        return np.minimum(r1 / beta, r2 / (1.0 - beta))
+
+    @staticmethod
+    def loop_point(ch, budget, profile):
+        cp = cutting_plane(ch, budget, profile)
+        return primal_recover(ch, cp.cuts, budget, profile, start=cp.solution), cp
+
+    def test_value_matches_a_dense_search_over_the_share(self, sec6, budget10):
+        sol, cp = ts_point(sec6, budget10, RateProfile(0.5))
+        assert [ct.origin for ct in cp.cuts] == ["tdma", "tdma"]
+        lo, hi = 1e-6, 1.0 - 1e-6
+        for _ in range(6):
+            t = np.linspace(lo, hi, 2001)
+            best = int(np.argmax(self.tdma_value(sec6, budget10, 0.5, t)))
+            lo, hi = t[max(best - 1, 0)], t[min(best + 1, 2000)]
+        dense = float(self.tdma_value(sec6, budget10, 0.5, t[best]))
+        assert sol.R == pytest.approx(dense, abs=1e-9)
+        (t1, p1, _), (t2, p2, _) = sol.strategies
+        assert t1 == pytest.approx(t[best], abs=1e-6) and t1 + t2 == pytest.approx(1.0, abs=1e-15)
+        assert p1[1] == p2[0] == 0.0
+
+    def test_average_powers_stay_within_budget(self, sec6, budget10):
+        # t * (P / t) rounds one ulp above P at beta = 0.03 and 0.84, so
+        # the slot power there is the next float below P / t
+        budget = (budget10.p1, budget10.p2)
+        for beta in [0.5, *np.linspace(0.0, 1.0, 101)[1:-1]]:
+            sol, cp = ts_point(sec6, budget10, RateProfile(float(beta)))
+            assert cp.cuts[0].origin == "tdma"
+            p_avg = sol.average_powers()
+            assert p_avg[0] <= budget[0] and p_avg[1] <= budget[1]
+            for k, (t, p, _) in enumerate(sol.strategies):
+                exact = budget[k] / t
+                assert p[k] == exact or (p[k] < exact and t * math.nextafter(p[k], math.inf) > budget[k])
+
+    def test_certificate_is_tight_and_one_oracle_call(self, sec6, budget10):
+        for beta in np.linspace(0.05, 0.95, 19):
+            profile = RateProfile(float(beta))
+            (sol, cp), calls = recorded(outer, "bnb_solve", lambda: ts_point(sec6, budget10, profile))
+            assert len(calls) == 1 and cp.cuts[0].origin == "tdma" and cp.converged
+            assert abs(cp.upper - sol.R) <= 1e-12
+            assert cp.lower == sol.R and cp.solution is None
+            dual = cp.dual
+            assert dual == calls[0][1]
+            assert float(np.dot(profile.rho, (dual.mu1, dual.mu2))) == pytest.approx(1.0, abs=1e-15)
+            # never below what the loop recovers, which stops within epsilon_cp
+            loop_sol, loop_cp = self.loop_point(sec6, budget10, profile)
+            assert loop_sol.R <= sol.R + 1e-12 and sol.R <= loop_cp.upper + 1e-12
+
+    def test_oracle_matches_the_reference_at_tdma_duals(self, sec6, budget10):
+        _, calls = recorded(
+            outer, "bnb_solve",
+            lambda: [ts_point(sec6, budget10, RateProfile(b)) for b in (0.02, 0.3, 0.5, 0.7, 0.98)],
+        )
+        assert len(calls) == 5
+        for _, dual, power_cap in calls:
+            assert_matches_bnb(sec6, dual, power_cap)
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            dict(capped=True),
+            dict(converged=False),
+            dict(gap=1e-3),  # the oracle's gap puts the bound above R + epsilon_cp
+            "raises",
+        ],
+    )
+    def test_refused_certificate_runs_the_loop(self, sec6, budget10, monkeypatch, defect):
+        profile = RateProfile(0.5)
+        reference = self.loop_point(sec6, budget10, profile)
+        original = outer.bnb_solve
+        calls = []
+
+        def defective(ch, dual, power_cap):
+            calls.append(dual)
+            if len(calls) > 1:
+                return original(ch, dual, power_cap)
+            if defect == "raises":
+                raise RuntimeError("resultant of the gradient numerators vanishes identically")
+            return replace(original(ch, dual, power_cap), **defect)
+
+        monkeypatch.setattr(outer, "bnb_solve", defective)
+        sol, cp = ts_point(sec6, budget10, profile)
+        assert cp.cuts[0].origin == "initial"
+        assert (sol, cp) == reference and len(calls) == 1 + len(cp.upper_history)
+
+    def test_refused_without_cross_gains(self, sec6, budget10):
+        # both users at full power at once beat taking turns, and the
+        # oracle at the TDMA dual finds that point
+        ch = replace(sec6, h12=0.0, h21=0.0)
+        for beta in (0.2, 0.5, 0.8):
+            profile = RateProfile(beta)
+            (sol, cp), calls = recorded(outer, "bnb_solve", lambda: ts_point(ch, budget10, profile))
+            loop_sol, loop_cp = self.loop_point(ch, budget10, profile)
+            assert cp.cuts[0].origin == "initial"
+            assert sol == loop_sol and cp == loop_cp and len(calls) == 1 + len(cp.upper_history)
+
+    @pytest.mark.parametrize(
+        "gains, beta",
+        [({}, 1e-9), ({}, 1.0 - 1e-10), ({}, 0.0), ({}, 1.0), ({"h22": 0.0}, 0.5)],
+        ids=["near-axis-1", "near-axis-2", "endpoint-2", "endpoint-1", "no-direct-gain"],
+    )
+    def test_not_tried(self, sec6, budget10, gains, beta):
+        # near an axis a TDMA slot power would exceed the loop's cap
+        # 1e3 * max P; an endpoint or a zero direct gain has no TDMA point
+        ch = replace(sec6, **gains)
+        profile = RateProfile(beta)
+        (sol, cp), calls = recorded(outer, "bnb_solve", lambda: ts_point(ch, budget10, profile))
+        assert (sol, cp) == self.loop_point(ch, budget10, profile)
+        assert len(calls) == (len(cp.upper_history) if 0.0 < beta < 1.0 else 0)
 
 
 class TestBoundTrajectories:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tinregions import (
     upper_right_hull,
 )
 from tinregions import lp as lp_module
-from tinregions import regions
+from tinregions import outer, regions
 from tinregions.model import TWO_PI
 from tinregions.regions import _profile_value, boundary_violation
 
@@ -372,12 +373,14 @@ class TestSweepBoundary:
             sweep_boundary("ts-proper", sec6, budget10, [])
 
     def test_ts_sweep_starts_cold_once_per_profile(self, sec6, budget10, monkeypatch):
-        # every warm start of the sweep, the loop's and the recovery's,
-        # keeps its carried inverse; each profile starts one master at
-        # the crash basis (its loop's first, or an endpoint's recovery)
+        # a profile certified at its TDMA point solves no LP; every other
+        # profile starts at most one master at the crash basis (its loop's
+        # first, or an endpoint's recovery), and every warm start, the
+        # loop's and the recovery's, keeps its carried inverse.  Without
+        # cross gains no profile is certified.
         events = []
         warm_basis, crash_basis = lp_module._warm_basis, lp_module._crash_basis
-        ts_point = regions.ts_point
+        lp_solve, ts_point = lp_module.lp_solve, regions.ts_point
 
         def warm(*args):
             found = warm_basis(*args)
@@ -388,19 +391,31 @@ class TestSweepBoundary:
             events.append("crash")
             return crash_basis(*args)
 
+        def solve(*args, **kwargs):
+            events.append("lp")
+            return lp_solve(*args, **kwargs)
+
         def point(*args, **kwargs):
             events.append("profile")
-            return ts_point(*args, **kwargs)
+            solution, cp = ts_point(*args, **kwargs)
+            events.append(cp.cuts[0].origin)
+            return solution, cp
 
         monkeypatch.setattr(lp_module, "_warm_basis", warm)
         monkeypatch.setattr(lp_module, "_crash_basis", crash)
+        monkeypatch.setattr(outer, "lp_solve", solve)
         monkeypatch.setattr(regions, "ts_point", point)
-        rows = regions.ts_sweep(sec6, budget10, np.linspace(0.0, 1.0, 101))
-        assert len(rows) == 101
-        assert "fallback" not in events
-        per_profile = " ".join(events).split("profile")[1:]
-        assert len(per_profile) == 101
-        assert all(p.split().count("crash") == 1 for p in per_profile)
+        for ch, certified_count in ((sec6, 99), (replace(sec6, h12=0.0, h21=0.0), 0)):
+            events.clear()
+            rows = regions.ts_sweep(ch, budget10, np.linspace(0.0, 1.0, 101))
+            assert len(rows) == 101
+            assert "fallback" not in events
+            per_profile = [p.split() for p in " ".join(events).split("profile")[1:]]
+            assert len(per_profile) == 101
+            certified = [p for p in per_profile if p[-1] == "tdma"]
+            assert len(certified) == certified_count
+            assert all(p == ["tdma"] for p in certified)
+            assert all("lp" in p and p.count("crash") <= 1 for p in per_profile if p[-1] != "tdma")
 
 
 @pytest.fixture(scope="module")
