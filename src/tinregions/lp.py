@@ -94,43 +94,39 @@ class MasterLP:
     powers lie within both budgets; the simplex starts there.
     ``ValueError`` unless every value is finite, the budgets are >= 0,
     the rates are >= 0, rho has a positive entry and some strategy lies
-    within both budgets.
+    within both budgets.  Rates and powers are converted to Python
+    floats once and checked there: a master has a few strategies, and
+    numpy's fixed cost per reduction would outweigh the work.
     """
 
     __slots__ = ("columns", "budget", "within", "scale", "_peak")
 
     def __init__(self, rates, powers, budget, rho):
-        rates = np.asarray(rates, dtype=float)
-        powers = np.asarray(powers, dtype=float)
-        if rates.ndim != 2 or rates.shape[0] != 2 or rates.shape[1] < 1:
-            raise ValueError("rates must be 2 x L with at least one strategy")
-        if powers.shape != rates.shape:
+        r1, r2 = _two_rows(rates, "rates must be 2 x L with at least one strategy")
+        p1, p2 = _two_rows(powers, "powers must match the shape of rates")
+        if len(p1) != len(r1):
             raise ValueError("powers must match the shape of rates")
         rho1, rho2 = (float(v) for v in rho)
         P1, P2 = (float(v) for v in budget)
-        if not (
-            np.all(np.isfinite(rates))
-            and np.all(np.isfinite(powers))
-            and all(map(math.isfinite, (rho1, rho2, P1, P2)))
-        ):
+        if not all(map(math.isfinite, (*r1, *r2, *p1, *p2, rho1, rho2, P1, P2))):
             raise ValueError("master coefficients must be finite")
         if not min(P1, P2) >= 0.0:
             raise ValueError("budgets must be >= 0")
-        if not rates.min() >= 0.0:
+        if not min(*r1, *r2) >= 0.0:
             raise ValueError("rates must be >= 0")
         if not max(rho1, rho2) > 0.0:
             raise ValueError("rho must have a positive entry")
-        within = np.flatnonzero((powers[0] <= P1) & (powers[1] <= P2))
-        if not within.size:
+        within = next((j for j, (a, b) in enumerate(zip(p1, p2)) if a <= P1 and b <= P2), None)
+        if within is None:
             raise ValueError("no strategy lies within both budgets")
-        r1, r2 = rates.tolist()
-        p1, p2 = powers.tolist()
         self.columns = ((-rho1, -rho2, 0.0, 0.0, 0.0), *zip(r1, r2, p1, p2, [1.0] * len(r1)))
         self.budget = (P1, P2)
-        self.within = int(within[0])
-        peak = np.abs(powers).max(axis=1).tolist()
+        self.within = within
         self._set_peak(
-            max(abs(rho1), *r1), max(abs(rho2), *r2), max(P1, peak[0]), max(P2, peak[1])
+            max(abs(rho1), *r1),
+            max(abs(rho2), *r2),
+            max(P1, *map(abs, p1)),
+            max(P2, *map(abs, p2)),
         )
 
     def _set_peak(self, *peak: float) -> None:
@@ -183,6 +179,18 @@ class LpSolution:
     #: the inverse of that basis, which a warm start from this solution
     #: reuses instead of factorizing the basis again
     inverse: _Inverse = field(repr=False, compare=False)
+
+
+def _two_rows(a, message: str) -> list[list[float]]:
+    """The two rows of a 2 x L array (L >= 1) as lists of Python floats;
+    ``ValueError(message)`` for any other shape, ragged rows included."""
+    try:
+        a = np.asarray(a, dtype=float)
+    except ValueError:  # rows of unequal length
+        raise ValueError(message) from None
+    if a.ndim != 2 or a.shape[0] != 2 or a.shape[1] < 1:
+        raise ValueError(message)
+    return a.tolist()
 
 
 def _times(rows, v) -> list[float]:

@@ -400,7 +400,10 @@ def _tdma_point(
     dual; its value plus the power bill and its gap is a dual bound, and
     the certificate is refused when the oracle raises, does not
     converge, is capped, or leaves that bound more than ``epsilon_cp``
-    above the TDMA value.
+    above the TDMA value.  That bound is at least the dual value at the
+    full-budget point (P1, P2), so when that value alone is more than
+    ``epsilon_cp`` above, the certificate is refused before the oracle
+    is called.
     """
     g11, _, _, g22 = ch.gains
     (rho1, rho2), (P1, P2) = profile.rho, (budget.p1, budget.p2)
@@ -429,6 +432,12 @@ def _tdma_point(
     scale = rho1 * a2 + rho2 * a1
     mu1, mu2 = a2 / scale, a1 / scale
     dual = DualPoint(mu1, mu2, mu1 * d1, mu2 * d2)
+    # the oracle's bound is at least the dual value at the full-budget
+    # point, where the power bill cancels and mu . r is left; when that
+    # already exceeds the TDMA value, the oracle call is spared
+    full = rate_pair_proper(ch, (P1, P2))
+    if mu1 * full.r1 + mu2 * full.r2 - solution.R > cfg.epsilon_cp:
+        return None
     try:
         res = bnb_solve(ch, dual, power_cap)
     except RuntimeError:
@@ -467,13 +476,21 @@ def ts_point(
     the certificate is refused or not tried (endpoint profiles, a zero
     direct gain or budget, a slot power above the loop's cap), the
     cutting-plane loop runs from ``initial_cuts`` exactly as without it,
-    and the primal mixture is recovered from its cuts."""
+    and the primal mixture is recovered from its cuts.  At an endpoint
+    profile the loop's closed-form result has one cut, which is returned
+    with all the time and that user's rate as R, without an LP."""
     found = _tdma_point(ch, budget, profile, cfg)
-    if found is None:
-        cp = cutting_plane(ch, budget, profile, cfg, initial_cuts=initial_cuts)
-        solution = primal_recover(ch, cp.cuts, budget, profile, start=cp.solution)
-    else:
+    if found is not None:
         solution, cp = found
+    else:
+        cp = cutting_plane(ch, budget, profile, cfg, initial_cuts=initial_cuts)
+        if cp.solution is None:
+            # an endpoint profile: its one closed-form cut takes all the time
+            (cut,) = cp.cuts
+            R = cut.rates.r1 if profile.rho[1] == 0.0 else cut.rates.r2
+            solution = TimeSharingSolution(strategies=((1.0, cut.p, cut.rates),), R=R)
+        else:
+            solution = primal_recover(ch, cp.cuts, budget, profile, start=cp.solution)
     if cp.converged and abs(cp.upper - solution.R) > 2.0 * cfg.epsilon_cp:
         raise RuntimeError(
             f"duality gap violation: recovered {solution.R}, dual bound {cp.upper}"

@@ -501,14 +501,20 @@ def theorem1_check(
 
     Each trial draws up to four improper strategies (per-slot powers may
     exceed the budget; the first slot stays within it, so it is the
-    master's starting vertex) and optimizes their time-sharing weights
-    for a random profile with the master LP of the cutting-plane loop
-    (:class:`~tinregions.lp.MasterLP`).  :func:`boundary_violation`
-    then measures, for all trials at once, how far each averaged rate
-    pair lands outside the interpolated proper time-sharing boundary.
-    Any violation beyond the tolerance would disprove the propriety claim;
-    the report counts them.  ``ValueError`` if ``trials < 1``, or if
-    ``beta_grid < 2``: a single profile cannot describe a boundary.
+    master's starting vertex) and a random profile.  The check runs in
+    three passes.  It first draws every trial's candidate, one trial
+    after another, then evaluates all their strategies with one
+    :func:`~tinregions.model.improper_rates` call (it is elementwise, so
+    each rate is bitwise what a call per trial gives), and finally
+    optimizes each trial's time-sharing weights for its profile with
+    the master LP of the cutting-plane loop
+    (:class:`~tinregions.lp.MasterLP`), one master per trial.
+    :func:`boundary_violation` then measures, for all trials at once,
+    how far each averaged rate pair lands outside the interpolated
+    proper time-sharing boundary.  Any violation beyond the tolerance
+    would disprove the propriety claim; the report counts them.
+    ``ValueError`` if ``trials < 1``, or if ``beta_grid < 2``: a single
+    profile cannot describe a boundary.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -520,8 +526,9 @@ def theorem1_check(
         )
     rng = np.random.default_rng(cfg.sampling.seed)
     lo_f, hi_f = impropriety
-    averages = np.empty((trials, 2))
-    for t in range(trials):
+    draws = []
+    betas = []
+    for _ in range(trials):
         L = int(rng.integers(1, 5))
         c1 = np.empty(L)
         c2 = np.empty(L)
@@ -534,11 +541,20 @@ def theorem1_check(
         k2 = rng.uniform(lo_f, hi_f, L) * c2
         ph1 = rng.uniform(0.0, TWO_PI, L)
         ph2 = rng.uniform(0.0, TWO_PI, L)
-        r1, r2 = improper_rates(ch, c1, c2, k1, k2, ph1, ph2)
-        beta = float(rng.uniform())
-        master = MasterLP((r1, r2), (c1, c2), (budget.p1, budget.p2), (beta, 1.0 - beta))
+        draws.append((c1, c2, k1, k2, ph1, ph2))
+        betas.append(float(rng.uniform()))
+    c1, c2, k1, k2, ph1, ph2 = (np.concatenate(a) for a in zip(*draws))
+    r1, r2 = improper_rates(ch, c1, c2, k1, k2, ph1, ph2)
+    averages = np.empty((trials, 2))
+    end = 0
+    for t, (draw, beta) in enumerate(zip(draws, betas)):
+        s = slice(end, end + draw[0].size)
+        end = s.stop
+        master = MasterLP(
+            (r1[s], r2[s]), (c1[s], c2[s]), (budget.p1, budget.p2), (beta, 1.0 - beta)
+        )
         taus = lp_solve(master).primal[1:]
-        averages[t] = taus @ r1, taus @ r2
+        averages[t] = taus @ r1[s], taus @ r2[s]
     v = boundary_violation(averages, boundary.rate_points())
     return ContainmentReport(
         trials=trials,

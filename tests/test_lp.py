@@ -116,19 +116,42 @@ def test_unbounded_phase_2_raises():
 def test_malformed_dimensions_rejected():
     good = dict(rates=[[1.0], [1.0]], powers=[[1.0], [1.0]], budget=(1.0, 1.0), rho=(0.5, 0.5))
     MasterLP(**good)
+    shape, match = "rates must be 2 x L", "powers must match"
+    finite = "must be finite"
     bad = [
-        dict(good, rates=[[], []], powers=[[], []]),  # no strategy
-        dict(good, rates=[[1.0, 2.0], [1.0, 2.0]]),  # powers do not match
-        dict(good, rates=[1.0, 1.0], powers=[1.0, 1.0]),  # not 2 x L
-        dict(good, rates=[[1.0], [1.0], [1.0]], powers=[[1.0], [1.0], [1.0]]),
-        dict(good, rates=[[np.nan], [1.0]]),
-        dict(good, budget=(1.0, np.inf)),
-        dict(good, budget=(-1.0, 1.0)),
-        dict(good, powers=[[1.5], [1.0]]),  # nothing within budget
+        (dict(good, rates=[[], []], powers=[[], []]), shape),  # no strategy
+        (dict(good, rates=[[1.0, 2.0], [1.0, 2.0]]), match),
+        (dict(good, rates=[1.0, 1.0], powers=[1.0, 1.0]), shape),  # not 2 x L
+        (dict(good, rates=[[1.0], [1.0], [1.0]], powers=[[1.0], [1.0], [1.0]]), shape),
+        (dict(good, rates=[[1.0, 2.0], [1.0]], powers=[[1.0, 1.0], [1.0]]), shape),  # ragged
+        (dict(good, powers=[[1.0, 1.0], [1.0]]), match),  # ragged powers
+        (dict(good, rates=[[np.nan], [1.0]]), finite),
+        (dict(good, powers=[[1.0], [np.nan]]), finite),
+        (dict(good, rho=(0.5, np.inf)), finite),
+        (dict(good, rho=(-np.inf, 0.5)), finite),
+        (dict(good, budget=(1.0, np.inf)), finite),
+        (dict(good, budget=(-1.0, 1.0)), "budgets must be >= 0"),
+        (dict(good, rates=[[1.0], [-1e-300]]), "rates must be >= 0"),
+        (dict(good, rho=(0.0, -0.5)), "rho must have a positive entry"),
+        (dict(good, powers=[[1.5], [1.0]]), "no strategy lies within both budgets"),
     ]
-    for kwargs in bad:
-        with pytest.raises(ValueError):
+    for kwargs, message in bad:
+        with pytest.raises(ValueError, match=message):
             MasterLP(**kwargs)
+
+
+def test_list_and_array_input_agree():
+    rng = np.random.default_rng(3)
+    for n_cols in (1, 2, 7):
+        r, p, budget, rho = _random_master_args(rng, n_cols)
+        p[:, -1] = -p[:, -1]  # a negative power's magnitude enters the row scale
+        a = MasterLP(r, p, budget, rho)
+        b = MasterLP(r.tolist(), p.tolist(), list(budget), list(rho))
+        c = MasterLP(tuple(r), tuple(p), np.array(budget), np.array(rho))
+        for other in (b, c):
+            assert other.columns == a.columns
+            assert other.scale == a.scale
+            assert other.within == a.within
 
 
 def test_deterministic_bitwise():

@@ -22,7 +22,7 @@ from tinregions import (
     ts_point,
 )
 from tinregions import lp as lp_module
-from tinregions import outer
+from tinregions import outer, regions
 from test_inner import assert_matches_bnb, assert_matches_reference, recorded
 
 GREATER = ">="
@@ -326,6 +326,25 @@ class TestTsPoint:
         b = ts_point(sec6, budget10, RateProfile(0.5))
         assert a == b
 
+    def test_endpoint_profiles_solve_no_lp(self, sec6, budget10, monkeypatch):
+        # the closed-form endpoint's one cut takes all the time; the
+        # recovery LP over that cut gives the same mixture
+        expected = {}
+        for beta in (0.0, 1.0):
+            profile = RateProfile(beta)
+            cp = cutting_plane(sec6, budget10, profile)
+            expected[beta] = primal_recover(sec6, cp.cuts, budget10, profile), cp
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an endpoint profile solved an LP")
+
+        monkeypatch.setattr(outer, "lp_solve", no_lp)
+        for beta, user, p in ((0.0, 2, (0.0, 10.0)), (1.0, 1, (10.0, 0.0))):
+            sol, cp = ts_point(sec6, budget10, RateProfile(beta))
+            assert (sol, cp) == expected[beta]
+            ((t, q, rates),) = sol.strategies
+            assert t == 1.0 and q == p and sol.R == (rates.r1, rates.r2)[user - 1]
+
     @pytest.mark.parametrize("beta", [1e-12, 1e-10, 1e-9, 1.0 - 1e-10, 1.0 - 1e-12])
     def test_near_axis_profile_keeps_its_tiny_weight(self, sec6, budget10, beta):
         # within about 1e-9 of an axis, a weight of that order is all the
@@ -457,14 +476,25 @@ class TestTdmaCertificate:
 
     def test_refused_without_cross_gains(self, sec6, budget10):
         # both users at full power at once beat taking turns, and the
-        # oracle at the TDMA dual finds that point
+        # dual value at that point refuses the certificate before any
+        # oracle call: every call is the loop's
         ch = replace(sec6, h12=0.0, h21=0.0)
         for beta in (0.2, 0.5, 0.8):
             profile = RateProfile(beta)
             (sol, cp), calls = recorded(outer, "bnb_solve", lambda: ts_point(ch, budget10, profile))
             loop_sol, loop_cp = self.loop_point(ch, budget10, profile)
             assert cp.cuts[0].origin == "initial"
-            assert sol == loop_sol and cp == loop_cp and len(calls) == 1 + len(cp.upper_history)
+            assert sol == loop_sol and cp == loop_cp and len(calls) == len(cp.upper_history)
+
+    def test_zero_cross_sweep_spares_the_refused_oracle_calls(self, sec6, budget10, monkeypatch):
+        # no profile is certified without cross gains, so the sweep's
+        # rows are those of the loop alone; only the loop calls the oracle
+        ch = replace(sec6, h12=0.0, h21=0.0)
+        betas = np.linspace(0.0, 1.0, 101)
+        rows, calls = recorded(outer, "bnb_solve", lambda: regions.ts_sweep(ch, budget10, betas))
+        assert len(calls) == 142
+        monkeypatch.setattr(outer, "_tdma_point", lambda *args: None)
+        assert rows == regions.ts_sweep(ch, budget10, betas)
 
     @pytest.mark.parametrize(
         "gains, beta",

@@ -6,6 +6,7 @@ import pytest
 
 from tinregions import (
     ChannelRealization,
+    ContainmentReport,
     PowerBudget,
     RateProfile,
     RegionConfig,
@@ -373,9 +374,9 @@ class TestSweepBoundary:
             sweep_boundary("ts-proper", sec6, budget10, [])
 
     def test_ts_sweep_starts_cold_once_per_profile(self, sec6, budget10, monkeypatch):
-        # a profile certified at its TDMA point solves no LP; every other
-        # profile starts at most one master at the crash basis (its loop's
-        # first, or an endpoint's recovery), and every warm start, the
+        # a profile certified at its TDMA point solves no LP, nor does an
+        # endpoint profile; every other profile starts one master at the
+        # crash basis (its loop's first), and every warm start, the
         # loop's and the recovery's, keeps its carried inverse.  Without
         # cross gains no profile is certified.
         events = []
@@ -415,12 +416,44 @@ class TestSweepBoundary:
             certified = [p for p in per_profile if p[-1] == "tdma"]
             assert len(certified) == certified_count
             assert all(p == ["tdma"] for p in certified)
-            assert all("lp" in p and p.count("crash") <= 1 for p in per_profile if p[-1] != "tdma")
+            assert per_profile[0] == per_profile[-1] == ["initial"]
+            interior = per_profile[1:-1]
+            assert all("lp" in p and p.count("crash") == 1 for p in interior if p[-1] != "tdma")
 
 
 @pytest.fixture(scope="module")
 def ts_boundary(sec6, budget10):
     return sweep_boundary("ts-proper", sec6, budget10, np.linspace(0.0, 1.0, 41))
+
+
+def reference_theorem1_averages(ch, budget, seed, trials, impropriety):
+    """Theorem 1's averaged rate pairs computed one trial at a time: the
+    trial's draws, its own :func:`improper_rates` call and its master.
+    The reference the batched :func:`theorem1_check` is gated against."""
+    rng = np.random.default_rng(seed)
+    lo_f, hi_f = impropriety
+    averages = np.empty((trials, 2))
+    for t in range(trials):
+        L = int(rng.integers(1, 5))
+        c1 = np.empty(L)
+        c2 = np.empty(L)
+        c1[0] = rng.uniform(0.0, budget.p1)
+        c2[0] = rng.uniform(0.0, budget.p2)
+        if L > 1:
+            c1[1:] = rng.uniform(0.0, 2.0 * budget.p1, L - 1)
+            c2[1:] = rng.uniform(0.0, 2.0 * budget.p2, L - 1)
+        k1 = rng.uniform(lo_f, hi_f, L) * c1
+        k2 = rng.uniform(lo_f, hi_f, L) * c2
+        ph1 = rng.uniform(0.0, TWO_PI, L)
+        ph2 = rng.uniform(0.0, TWO_PI, L)
+        r1, r2 = improper_rates(ch, c1, c2, k1, k2, ph1, ph2)
+        beta = float(rng.uniform())
+        master = lp_module.MasterLP(
+            (r1, r2), (c1, c2), (budget.p1, budget.p2), (beta, 1.0 - beta)
+        )
+        taus = lp_module.lp_solve(master).primal[1:]
+        averages[t] = taus @ r1, taus @ r2
+    return averages
 
 
 class TestTheorem1Check:
@@ -449,6 +482,38 @@ class TestTheorem1Check:
         # candidate escapes
         with pytest.raises(ValueError, match="beta_grid"):
             theorem1_check(sec6, budget10, trials=50, beta_grid=beta_grid)
+
+    @pytest.mark.parametrize("doubled", [False, True], ids=["sec6", "doubled"])
+    @pytest.mark.parametrize("impropriety", [(0.0, 1.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("trials", [1, 7, 200])
+    def test_batch_equals_one_trial_at_a_time(
+        self, sec6, budget10, ts_boundary, doubled, impropriety, trials, monkeypatch
+    ):
+        # one improper_rates call over all trials gives each trial's
+        # rates, weights and averages bitwise as a call per trial does
+        gains = ("h11", "h12", "h21", "h22")
+        ch = replace(sec6, **{k: 2 * getattr(sec6, k) for k in gains}) if doubled else sec6
+        seen = []
+
+        def violation(points, rate_points):
+            seen.append(points.copy())
+            return boundary_violation(points, rate_points)
+
+        monkeypatch.setattr(regions, "boundary_violation", violation)
+        for seed in (0, 5, 2024):
+            cfg = RegionConfig(sampling=SamplingConfig(seed=seed))
+            report = theorem1_check(
+                ch, budget10, cfg, trials, boundary=ts_boundary, impropriety=impropriety
+            )
+            want = reference_theorem1_averages(ch, budget10, seed, trials, impropriety)
+            v = boundary_violation(want, ts_boundary.rate_points())
+            assert seen.pop().tobytes() == want.tobytes()
+            assert report == ContainmentReport(
+                trials=trials,
+                max_violation=float(v.max()),
+                tolerance=regions.THEOREM1_TOL,
+                failures=int(np.count_nonzero(v > regions.THEOREM1_TOL)),
+            )
 
     def test_scaled_channel_rerun(self, sec6, budget10):
         from tinregions import ChannelRealization

@@ -37,6 +37,11 @@ def test_traced_layers_reach_the_program(sec6, budget10):
         spans[parent][0] if parent >= 0 else None for name, _, _, parent, *_ in spans if name == "lp"
     }
     assert lp_parents == {"outer", "recover", "theorem1"}
+    # the batch evaluates every trial's rates in one call, then solves
+    # one master per trial
+    theorem1 = {i for i, (name, *_) in enumerate(spans) if name == "theorem1"}
+    under = [name for name, _, _, parent, *_ in spans if parent in theorem1]
+    assert under.count("model.improper") == 1 and under.count("lp") == report.trials
     assert {attrs["rows"] for name, *_, attrs in spans if name == "lp"} == {5}
     assert any(name == "inner" for name, *_ in spans)
     assert outer.lp_solve.__module__ == "tinregions.lp"  # uninstalled
