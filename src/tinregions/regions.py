@@ -209,8 +209,8 @@ def pure_proper_point(
 
 #: Rows per block of the passes over the improper samples: the sampler
 #: finishes each block of its grid at every phase difference, and the
-#: hull prefilter reads the cloud block by block, so that a block and
-#: its temporaries stay in cache.
+#: hull prefilter and the staircase read the cloud block by block, so
+#: that a block and its temporaries stay in cache.
 _BLOCK = 1 << 13
 
 
@@ -240,9 +240,11 @@ def pure_improper_samples(
     the grid at each phase difference in turn, then the random
     strategies.  The grid is walked in blocks of ``_BLOCK`` points, whose
     phase-free rate terms are computed once and finished at every phase
-    difference straight into the result.  The result is the only
-    allocation of its length; the others are of the grid's length (the
-    four grid coordinates) or a block's.
+    difference straight into the result.  Each finish runs in two
+    block-sized buffers, one complex and one real, that every block and
+    phase reuses.  The result is the only allocation of its length; the
+    others are of the grid's length (the four grid coordinates) or a
+    block's.
     """
     c1 = np.linspace(0.0, budget.p1, sampling.power_grid)
     c2 = np.linspace(0.0, budget.p2, sampling.power_grid)
@@ -258,14 +260,19 @@ def pure_improper_samples(
     n = len(C1)
     out = np.empty((n * len(psis) + sampling.random_count, 2))
     grid = out[: n * len(psis)].reshape(len(psis), n, 2)
+    zbuf = np.empty(_BLOCK + 1, dtype=complex)
+    tbuf = np.empty(_BLOCK + 1)
     for g in _blocks(n):
         a1, b1, cy1, den1, base1 = _improper_terms(h11, h12, ch.noise1, C1[g], K1[g], C2[g], K2[g])
         a2, b2, cy2, den2, base2 = _improper_terms(h22, h21, ch.noise2, C2[g], K2[g], C1[g], K1[g])
         b1 = b1 * e0
         a2 = a2 * e0
+        z, t = zbuf[: len(a1)], tbuf[: len(a1)]
         for rows, e in zip(grid[:, g], phases):
-            _improper_finish(a1 * e, b1, cy1, den1, base1, out=rows[:, 0])
-            _improper_finish(a2, b2 * e, cy2, den2, base2, out=rows[:, 1])
+            pa = np.multiply(a1, e, out=z)
+            _improper_finish(pa, b1, cy1, den1, base1, out=rows[:, 0], scratch=(z, t))
+            pb = np.multiply(b2, e, out=z)
+            _improper_finish(a2, pb, cy2, den2, base2, out=rows[:, 1], scratch=(z, t))
     if sampling.random_count > 0:
         rng = np.random.default_rng(sampling.seed)
         m = sampling.random_count
@@ -293,45 +300,83 @@ def _drop_interior(pts: np.ndarray) -> np.ndarray:
     two points of the cloud (or a point and its axis projection), so a
     point strictly below the polyline lies strictly inside the hull or
     is dominated by an intercept, and is never a vertex of the Pareto
-    face.  Points on a chord, to within rounding, are kept, and so are
+    face.  Points on a chord, to within ``tol``, are kept, and so are
     the support points, among them a largest r1 and a largest r2 of the
-    cloud.  Two passes walk the cloud in blocks of ``_BLOCK`` rows:
-    the first checks the values and finds the support points, the second
-    keeps the points on or above the polyline.  Apart from the result,
-    only block-sized arrays are allocated.
+    cloud.  This is the throw-away heuristic of Akl & Toussaint (Inf.
+    Process. Lett. 1978).
+
+    Two passes walk the cloud in blocks of ``_BLOCK`` rows.  The first
+    checks the values and finds the support points, with the values of
+    all nine directions as one (9, 2) x (2, m) product per block.  The
+    second keeps the points on or above the polyline, as ``np.interp``
+    evaluates it, less ``tol``.  Before that test, one dot product per
+    block measures each point against the chord from (0, ys[0]) to
+    (xs[-1], ys[-1]): only the points above it or less than ``2 tol``
+    below it go to ``np.interp``, and a block without any is skipped.
+    The kept set is that of the interpolation test alone:
+
+    * every point has r1 in [0, xs[-1]], since xs[-1] is the largest r1;
+    * polyline minus chord is piecewise linear there, with its breaks at
+      0 (where it is 0) and at the support points, so it is least at
+      one of them, ``g`` <= 0 (and 0 when the polyline is concave, as
+      it is up to rounding);
+    * so a point more than ``2 tol - g`` below the chord is more than
+      ``2 tol`` below the polyline.  Each test rounds by a few ulps of
+      ``max(xs[-1], ys.max(), 1)``, and ``tol`` is 64 of them, so
+      ``np.interp`` too finds the point more than ``tol`` below and
+      drops it.
+
+    Without a chord (the largest r1 is 0, or the slope overflows) every
+    point goes to ``np.interp``.  Apart from the result, only
+    block-sized arrays are allocated.
     """
-    dirs = [np.array((w, 1.0 - w)) for w in HULL_SUPPORT_WEIGHTS]
-    best = [-math.inf] * len(dirs)
-    where = [0] * len(dirs)
-    buf = np.empty(_BLOCK + 1)
+    dirs = np.array([(w, 1.0 - w) for w in HULL_SUPPORT_WEIGHTS])
+    best = np.full(len(dirs), -math.inf)
+    where = np.zeros(len(dirs), dtype=np.intp)
+    buf = np.empty(len(dirs) * (_BLOCK + 1))
     for s in _blocks(len(pts)):
         block = pts[s]
         if not (block.min() >= 0.0 and block.max() < math.inf):  # false on NaN
             raise ValueError("points must be finite and >= 0")
-        for k, d in enumerate(dirs):
-            v = np.dot(block, d, out=buf[: len(block)])
-            i = int(np.argmax(v))
-            if v[i] > best[k]:  # strict: an earlier block wins a tie
-                best[k], where[k] = v[i], s.start + i
+        v = np.matmul(dirs, block.T, out=buf[: len(dirs) * len(block)].reshape(len(dirs), -1))
+        i = v.argmax(axis=1)  # the first maximizer in the block
+        peak = v[np.arange(len(dirs)), i]
+        better = peak > best  # strict: an earlier block wins a tie
+        best[better] = peak[better]
+        where[better] = s.start + i[better]
     top: dict[float, float] = {}
-    for i in where:
+    for i in where.tolist():
         x, y = float(pts[i, 0]), float(pts[i, 1])
         top[x] = max(y, top.get(x, y))  # equal support points collapse
     xs = np.array(sorted(top))
     ys = np.array([top[x] for x in xs])
     tol = 64.0 * np.finfo(float).eps * max(xs[-1], max(top.values()), 1.0)
+    # r2 + slope * r1 = y0 on the chord from (0, y0) to (X, ys[-1])
+    X, y0 = float(xs[-1]), float(ys[0])
+    slope = (y0 - float(ys[-1])) / X if X > 0.0 else math.inf
+    if math.isfinite(slope):
+        g = min(0.0, *(y + slope * x - y0 for x, y in top.items()))
+        cut = y0 + g - 2.0 * tol
+    else:  # no chord: every point goes to the interpolation test
+        slope, cut = 0.0, -math.inf
+    normal = np.array((slope, 1.0))
     kept = []
     for s in _blocks(len(pts)):
         block = pts[s]
+        near = np.dot(block, normal, out=buf[: len(block)]) >= cut
+        count = int(np.count_nonzero(near))
+        if count == 0:
+            continue
+        if count <= len(block) >> 3:
+            block = block[near]
         chain = np.interp(block[:, 0], xs, ys)
         chain -= tol
         kept.append(block[block[:, 1] >= chain])
     return np.concatenate(kept)
 
 
-def pareto_staircase(points: np.ndarray) -> np.ndarray:
-    """The points of an (n, 2) cloud that no other point dominates, by
-    r1 descending; of equal-r1 points only the highest is kept."""
+def _sorted_staircase(points: np.ndarray) -> np.ndarray:
+    """:func:`pareto_staircase` by one sort of the whole cloud."""
     order = np.lexsort((-points[:, 1], -points[:, 0]))
     s = points[order]
     running = np.maximum.accumulate(s[:, 1])
@@ -341,6 +386,43 @@ def pareto_staircase(points: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
+def pareto_staircase(points: np.ndarray) -> np.ndarray:
+    """The points of an (n, 2) cloud that no other point dominates, by
+    r1 descending; of equal-r1 points only the highest is kept.
+
+    The cloud is read in blocks of ``_BLOCK`` rows against the running
+    staircase: a point no higher than the step at or right of it (the
+    staircase point of least r1 >= its own) is dominated or a duplicate,
+    and one ``searchsorted`` per block finds every point's step.  The
+    survivors wait until they outnumber the staircase, which is then
+    rebuilt by one sort of both, so a cloud that is all staircase costs
+    O(n log n) and not a sort per block.  Dominance is transitive, so
+    every dropped point is dominated by, or equal to, a point of the
+    final staircase, which is thus the staircase of the whole cloud,
+    bitwise as one sort of it gives.  Apart from the result, only block-
+    and staircase-sized arrays are allocated.
+    """
+    stair = points[:0]  # r1 descending, r2 ascending
+    steps_x = np.empty(0)  # r1 ascending
+    steps_y = np.array((-math.inf,))  # r2 descending, then past the last step
+    waiting: list[np.ndarray] = []
+    count = 0
+    for s in _blocks(len(points)):
+        block = points[s]
+        step = steps_y[np.searchsorted(steps_x, block[:, 0])]
+        new = block[block[:, 1] > step]
+        waiting.append(new)
+        count += len(new)
+        if count > len(stair):
+            stair = _sorted_staircase(np.concatenate([stair, *waiting]))
+            steps_x = stair[::-1, 0].copy()
+            steps_y = np.append(stair[::-1, 1], -math.inf)
+            waiting, count = [], 0
+    if count:
+        stair = _sorted_staircase(np.concatenate([stair, *waiting]))
+    return stair
+
+
 def upper_right_hull(points) -> np.ndarray:
     """Vertices of the Pareto face of the convex hull of a point cloud.
 
@@ -348,9 +430,10 @@ def upper_right_hull(points) -> np.ndarray:
     (0, max_r2) so the face spans both intercepts; output vertices are
     sorted by r1 descending and every input point lies on or below the
     piecewise-linear boundary they define.  Points strictly below a
-    polyline of support points are dropped before the sort, which leaves
-    the output unchanged and the sort small.  ``ValueError`` on an empty
-    cloud or on a value that is not finite and >= 0.
+    polyline of support points are dropped first (:func:`_drop_interior`,
+    two passes over the cloud), which leaves the output unchanged and
+    the staircase small.  ``ValueError`` on an empty cloud or on a value
+    that is not finite and >= 0.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.size == 0:
@@ -513,19 +596,23 @@ def theorem1_check(
     how far each averaged rate pair lands outside the interpolated
     proper time-sharing boundary.  Any violation beyond the tolerance
     would disprove the propriety claim; the report counts them.
-    ``ValueError`` if ``trials < 1``, or if ``beta_grid < 2``: a single
-    profile cannot describe a boundary.
+    ``ValueError`` if ``trials < 1``, if ``beta_grid < 2`` (a single
+    profile cannot describe a boundary), or unless the impropriety
+    fractions (lo, hi) satisfy 0 <= lo <= hi <= 1, so that every drawn
+    strategy has 0 <= kappa_k <= c_k.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if beta_grid < 2:
         raise ValueError("beta_grid must be >= 2")
+    lo_f, hi_f = impropriety
+    if not 0.0 <= lo_f <= hi_f <= 1.0:  # false on NaN
+        raise ValueError("impropriety must satisfy 0 <= lo <= hi <= 1")
     if boundary is None:
         boundary = sweep_boundary(
             "ts-proper", ch, budget, np.linspace(0.0, 1.0, beta_grid), cfg
         )
     rng = np.random.default_rng(cfg.sampling.seed)
-    lo_f, hi_f = impropriety
     draws = []
     betas = []
     for _ in range(trials):

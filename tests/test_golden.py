@@ -16,6 +16,8 @@ DATA = Path(__file__).resolve().parent / "data"
     [
         ("sec6_ts_proper_21.csv", ["region", "--method", "ts-proper", "--betas", "21"]),
         ("sec6_solve_0.5.json", ["solve", "--beta", "0.5"]),
+        ("sec6_hull_improper_21.csv", ["region", "--method", "hull-improper", "--betas", "21"]),
+        ("sec6_pure_improper_samples.csv", ["region", "--method", "pure-improper-samples"]),
     ],
 )
 def test_cli_output_matches_the_golden_file(tmp_path, name, args):

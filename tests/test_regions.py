@@ -24,7 +24,7 @@ from tinregions import (
 from tinregions import lp as lp_module
 from tinregions import outer, regions
 from tinregions.model import TWO_PI
-from tinregions.regions import _profile_value, boundary_violation
+from tinregions.regions import _profile_value, boundary_violation, pareto_staircase
 
 
 @pytest.fixture(scope="module")
@@ -257,25 +257,184 @@ class TestUpperRightHull:
             upper_right_hull(np.empty((0, 2)))
 
     def test_prefilter_leaves_hull_unchanged(self, sec6, budget10, small_cfg, monkeypatch):
-        rng = np.random.default_rng(32)
-        grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2)
-        angles = rng.uniform(0.0, 0.5 * np.pi, 500)
-        clouds = [
-            rng.uniform(0.0, 5.0, size=(400, 2)),
-            grid[grid.sum(axis=1) <= 11.0],  # lattice: points on every chord
-            np.column_stack((np.cos(angles), np.sin(angles))) * rng.uniform(0.98, 1.0, (500, 1)),
-            np.vstack([rng.integers(0, 4, size=(300, 2)), [[0.0, 0.0], [7.0, 0.0], [0.0, 7.0]]]),
-            pure_improper_samples(sec6, budget10, small_cfg.sampling),
-        ]
+        clouds = prefilter_clouds(sec6, budget10, small_cfg)
         filtered = [upper_right_hull(c) for c in clouds]
         monkeypatch.setattr(regions, "_drop_interior", lambda pts: pts)
         for cloud, hull in zip(clouds, filtered):
             assert np.array_equal(hull, upper_right_hull(cloud))
 
+    @pytest.mark.parametrize("block", [4, 16, regions._BLOCK])
+    def test_prefilter_keeps_what_the_reference_keeps(
+        self, sec6, budget10, small_cfg, block, monkeypatch
+    ):
+        monkeypatch.setattr(regions, "_BLOCK", block)
+        for cloud in prefilter_clouds(sec6, budget10, small_cfg):
+            kept = regions._drop_interior(cloud)
+            assert kept.tobytes() == reference_drop_interior(cloud).tobytes()
+
+    def test_prefilter_keeps_what_the_reference_keeps_on_a_sec6_cloud(self, sec6, budget10):
+        # 11 * 11 * 7 * 7 * 12 + 5000 samples: 11 full blocks, some with no
+        # point near the chord, some with a few and some with many
+        cfg = SamplingConfig(seed=5, power_grid=11, fraction_grid=7, phase_grid=12,
+                             random_count=5000)
+        cloud = pure_improper_samples(sec6, budget10, cfg)
+        kept = regions._drop_interior(cloud)
+        assert kept.tobytes() == reference_drop_interior(cloud).tobytes()
+        assert len(kept) < len(cloud) // 100
+
     def test_prefilter_keeps_points_on_chords(self):
         pts = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 2.0], [1.5, 0.5], [0.5, 1.5], [0.5, 0.5]])
         kept = regions._drop_interior(pts)
         assert {tuple(p) for p in kept} == {tuple(p) for p in pts[:5]}
+
+
+def prefilter_clouds(sec6, budget, cfg):
+    rng = np.random.default_rng(32)
+    grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2)
+    angles = rng.uniform(0.0, 0.5 * np.pi, 500)
+    return [
+        rng.uniform(0.0, 5.0, size=(400, 2)),
+        grid[grid.sum(axis=1) <= 11.0],  # lattice: points on every chord
+        np.column_stack((np.cos(angles), np.sin(angles))) * rng.uniform(0.98, 1.0, (500, 1)),
+        np.vstack([rng.integers(0, 4, size=(300, 2)), [[0.0, 0.0], [7.0, 0.0], [0.0, 7.0]]]),
+        pure_improper_samples(sec6, budget, cfg.sampling),
+    ]
+
+
+def reference_drop_interior(pts):
+    """The prefilter with one ``np.dot`` per direction and block for the
+    support points, and ``np.interp`` over every point: the reference
+    whose kept set the one-product support pass and the chord test must
+    reproduce byte for byte."""
+    dirs = [np.array((w, 1.0 - w)) for w in regions.HULL_SUPPORT_WEIGHTS]
+    best = [-np.inf] * len(dirs)
+    where = [0] * len(dirs)
+    for s in regions._blocks(len(pts)):
+        block = pts[s]
+        assert block.min() >= 0.0 and block.max() < np.inf
+        for k, d in enumerate(dirs):
+            v = np.dot(block, d)
+            i = int(np.argmax(v))
+            if v[i] > best[k]:
+                best[k], where[k] = v[i], s.start + i
+    top = {}
+    for i in where:
+        x, y = float(pts[i, 0]), float(pts[i, 1])
+        top[x] = max(y, top.get(x, y))
+    xs = np.array(sorted(top))
+    ys = np.array([top[x] for x in xs])
+    tol = 64.0 * np.finfo(float).eps * max(xs[-1], max(top.values()), 1.0)
+    kept = []
+    for s in regions._blocks(len(pts)):
+        block = pts[s]
+        chain = np.interp(block[:, 0], xs, ys)
+        chain -= tol
+        kept.append(block[block[:, 1] >= chain])
+    return np.concatenate(kept)
+
+
+class TestChordTest:
+    """Edge cases of the chord that spares most points the interpolation
+    test, in blocks of 4 rows (no block has few enough near points for a
+    partial test), of 16 and of the default size."""
+
+    TOL4 = 64.0 * np.finfo(float).eps * 4.0  # the prefilter's tol at scale 4
+
+    @pytest.fixture(autouse=True, params=[4, 16, regions._BLOCK])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(regions, "_BLOCK", request.param)
+
+    def kept(self, cloud):
+        kept = regions._drop_interior(cloud)
+        assert kept.tobytes() == reference_drop_interior(cloud).tobytes()
+        return {tuple(p) for p in kept}
+
+    def test_collinear_support_points(self):
+        # the polyline is the chord x + y = 4; points 1/4 to 4 tol below it
+        line = [[x, 4.0 - x] for x in (0.0, 1.0, 2.0, 3.0, 4.0)]
+        below = [[1.5, 2.5 - k * self.TOL4] for k in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)]
+        inside = np.random.default_rng(51).uniform(0.0, 1.7, (40, 2))
+        cloud = np.vstack([inside[:20], line[:2], below, inside[20:], line[2:]])
+        assert self.kept(cloud) == {tuple(p) for p in line + below[:3]}
+
+    def test_no_point_above_the_chord(self):
+        inside = np.random.default_rng(52).uniform(0.0, 0.45, (60, 2))
+        cloud = np.vstack([inside[:30], [[0.0, 1.0]], inside[30:], [[1.0, 0.0]]])
+        assert self.kept(cloud) == {(0.0, 1.0), (1.0, 0.0)}
+
+    def test_every_point_above_the_chord(self):
+        angles = np.random.default_rng(53).uniform(0.05, 0.5 * np.pi - 0.05, 70)
+        arc = np.column_stack((np.cos(angles), np.sin(angles)))
+        cloud = np.vstack([[[0.0, 1.0]], arc, [[1.0, 0.0]]])
+        assert {tuple(p) for p in arc} <= self.kept(cloud)
+
+    def test_points_within_a_tol_of_a_chord_under_the_polyline(self):
+        # the arc's polyline is far above the chord x + y = 1, so points
+        # near the chord reach the interpolation test and fail it
+        tol = 64.0 * np.finfo(float).eps
+        angles = np.random.default_rng(54).uniform(0.0, 0.5 * np.pi, 50)
+        arc = np.column_stack((np.cos(angles), np.sin(angles)))
+        near = [[x, 1.0 - x + k * tol] for x in (0.25, 0.5) for k in (-3, -2, -1, 0, 1, 2)]
+        cloud = np.vstack([[[0.0, 1.0], [1.0, 0.0]], near, arc])
+        kept = self.kept(cloud)
+        assert not kept & {tuple(p) for p in near}
+
+    def test_largest_r1_zero(self):
+        ys = np.random.default_rng(55).uniform(0.0, 2.0, 30)
+        ys[[7, 19]] = 2.5
+        cloud = np.column_stack((np.zeros(30), ys))
+        assert self.kept(cloud) == {(0.0, 2.5)}
+
+    def test_largest_r2_zero(self):
+        xs = np.random.default_rng(56).uniform(0.0, 2.0, 30)
+        cloud = np.column_stack((xs, np.zeros(30)))
+        assert self.kept(cloud) == {tuple(p) for p in cloud}
+
+
+def reference_staircase(points):
+    """The staircase by one lexsort of the whole cloud: the reference the
+    blocked reduction must reproduce byte for byte."""
+    order = np.lexsort((-points[:, 1], -points[:, 0]))
+    s = points[order]
+    running = np.maximum.accumulate(s[:, 1])
+    keep = np.empty(len(s), dtype=bool)
+    keep[0] = True
+    keep[1:] = s[1:, 1] > running[:-1]
+    return s[keep]
+
+
+class TestParetoStaircase:
+    def assert_matches_reference(self, cloud):
+        stair = pareto_staircase(cloud)
+        assert stair.tobytes() == reference_staircase(cloud).tobytes()
+        return stair
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 22, 23, 400, 401])
+    @pytest.mark.parametrize("shape", ["uniform", "ties", "duplicates", "anti-diagonal",
+                                       "anti-diagonal-reversed", "arc"])
+    def test_blocks_of_four_match_one_sort(self, n, shape, monkeypatch):
+        monkeypatch.setattr(regions, "_BLOCK", 4)
+        rng = np.random.default_rng(n)
+        if shape == "uniform":
+            cloud = rng.uniform(0.0, 1.0, (n, 2))
+        elif shape == "ties":  # many equal r1 and equal r2 values
+            cloud = rng.integers(0, 5, (n, 2)).astype(float)
+        elif shape == "duplicates":
+            cloud = rng.uniform(0.0, 1.0, (n, 2))[rng.integers(0, max(n // 3, 1), n)]
+        elif shape == "anti-diagonal":  # every point on the staircase
+            cloud = np.column_stack((np.arange(n, dtype=float), np.arange(n, 0, -1.0)))
+            cloud = cloud[rng.permutation(n)]
+        elif shape == "anti-diagonal-reversed":  # r1 ascending: each block adds steps
+            cloud = np.column_stack((np.arange(n, dtype=float), np.arange(n, 0, -1.0)))
+        else:
+            angles = rng.uniform(0.0, 0.5 * np.pi, n)
+            cloud = np.column_stack((np.cos(angles), np.sin(angles)))
+        stair = self.assert_matches_reference(cloud)
+        if shape.startswith("anti-diagonal"):
+            assert len(stair) == n
+
+    def test_sec6_samples_match_one_sort(self, sec6, budget10, small_cfg):
+        self.assert_matches_reference(pure_improper_samples(sec6, budget10, small_cfg.sampling))
 
 
 def unfiltered_hull(cloud, monkeypatch):
@@ -475,6 +634,15 @@ class TestTheorem1Check:
     def test_rejects_fewer_than_one_trial(self, sec6, budget10, ts_boundary, trials):
         with pytest.raises(ValueError, match="trials"):
             theorem1_check(sec6, budget10, trials=trials, boundary=ts_boundary)
+
+    # (0, 2) drew kappa > c and failed in the first master; (-0.5, 0) drew
+    # kappa < 0 and passed
+    @pytest.mark.parametrize(
+        "impropriety", [(0.0, 2.0), (-0.5, 0.0), (0.8, 0.2), (0.0, float("nan"))]
+    )
+    def test_rejects_fractions_outside_zero_to_one(self, sec6, budget10, ts_boundary, impropriety):
+        with pytest.raises(ValueError, match="impropriety"):
+            theorem1_check(sec6, budget10, trials=5, boundary=ts_boundary, impropriety=impropriety)
 
     @pytest.mark.parametrize("beta_grid", [1, 0])
     def test_rejects_a_single_profile_grid(self, sec6, budget10, beta_grid):
