@@ -219,22 +219,13 @@ def _improper_terms(hkk, hkj, noise, ck, kapk, cj, kapj):
     return (hkk * hkk) * kapk, (hkj * hkj) * kapj, cy**2, den, np.log1p(gkk * ck / cs) / _LN2
 
 
-def _improper_finish(pa, pb, cy2, den, base, out=None, scratch=(None, None)):
+def _improper_finish(pa, pb, cy2, den, base, out=None):
     """User k's rate from the phased pseudovariance terms
     ``pa = a e^{i phi_k}`` and ``pb = b e^{i phi_j}`` and the other
-    terms of :func:`_improper_terms`; writes into ``out`` if given.
-
-    ``scratch`` is a complex and a real array of the result's shape that
-    take the temporaries in place of fresh ones (``pa`` or ``pb`` may be
-    the complex one); either way each step is the same ufunc, so the
-    result is bitwise the same."""
-    z, t = scratch
-    q = np.abs(np.add(pa, pb, out=z), out=t)
-    q **= 2  # on a scalar, rebinds to the scalar power as ``** 2`` does
-    num = np.subtract(1.0, np.divide(q, cy2, out=t), out=t)
+    terms of :func:`_improper_terms`; writes into ``out`` if given."""
+    num = 1.0 - np.abs(pa + pb) ** 2 / cy2
     # nonnegative in exact arithmetic; clamp the rounding residue
-    half_log = np.multiply(0.5, np.log2(np.divide(num, den, out=t), out=t), out=t)
-    return np.maximum(np.add(base, half_log, out=t), 0.0, out=out)
+    return np.maximum(base + 0.5 * np.log2(num / den), 0.0, out=out)
 
 
 def improper_rates(ch: ChannelRealization, c1, c2, kappa1, kappa2, phi1, phi2):

@@ -240,11 +240,9 @@ def pure_improper_samples(
     the grid at each phase difference in turn, then the random
     strategies.  The grid is walked in blocks of ``_BLOCK`` points, whose
     phase-free rate terms are computed once and finished at every phase
-    difference straight into the result.  Each finish runs in two
-    block-sized buffers, one complex and one real, that every block and
-    phase reuses.  The result is the only allocation of its length; the
-    others are of the grid's length (the four grid coordinates) or a
-    block's.
+    difference straight into the result.  The result is the only
+    allocation of its length; the others are of the grid's length (the
+    four grid coordinates) or a block's.
     """
     c1 = np.linspace(0.0, budget.p1, sampling.power_grid)
     c2 = np.linspace(0.0, budget.p2, sampling.power_grid)
@@ -260,19 +258,14 @@ def pure_improper_samples(
     n = len(C1)
     out = np.empty((n * len(psis) + sampling.random_count, 2))
     grid = out[: n * len(psis)].reshape(len(psis), n, 2)
-    zbuf = np.empty(_BLOCK + 1, dtype=complex)
-    tbuf = np.empty(_BLOCK + 1)
     for g in _blocks(n):
         a1, b1, cy1, den1, base1 = _improper_terms(h11, h12, ch.noise1, C1[g], K1[g], C2[g], K2[g])
         a2, b2, cy2, den2, base2 = _improper_terms(h22, h21, ch.noise2, C2[g], K2[g], C1[g], K1[g])
         b1 = b1 * e0
         a2 = a2 * e0
-        z, t = zbuf[: len(a1)], tbuf[: len(a1)]
         for rows, e in zip(grid[:, g], phases):
-            pa = np.multiply(a1, e, out=z)
-            _improper_finish(pa, b1, cy1, den1, base1, out=rows[:, 0], scratch=(z, t))
-            pb = np.multiply(b2, e, out=z)
-            _improper_finish(a2, pb, cy2, den2, base2, out=rows[:, 1], scratch=(z, t))
+            _improper_finish(a1 * e, b1, cy1, den1, base1, out=rows[:, 0])
+            _improper_finish(a2, b2 * e, cy2, den2, base2, out=rows[:, 1])
     if sampling.random_count > 0:
         rng = np.random.default_rng(sampling.seed)
         m = sampling.random_count
@@ -312,8 +305,8 @@ def _drop_interior(pts: np.ndarray) -> np.ndarray:
     evaluates it, less ``tol``.  Before that test, one dot product per
     block measures each point against the chord from (0, ys[0]) to
     (xs[-1], ys[-1]): only the points above it or less than ``2 tol``
-    below it go to ``np.interp``, and a block without any is skipped.
-    The kept set is that of the interpolation test alone:
+    below it are gathered for ``np.interp``, and a block without any is
+    skipped.  The kept set is that of the interpolation test alone:
 
     * every point has r1 in [0, xs[-1]], since xs[-1] is the largest r1;
     * polyline minus chord is piecewise linear there, with its breaks at
@@ -364,14 +357,13 @@ def _drop_interior(pts: np.ndarray) -> np.ndarray:
     for s in _blocks(len(pts)):
         block = pts[s]
         near = np.dot(block, normal, out=buf[: len(block)]) >= cut
-        count = int(np.count_nonzero(near))
-        if count == 0:
+        if not near.any():
             continue
-        if count <= len(block) >> 3:
-            block = block[near]
+        # np.compress gathers rows several times faster than a boolean index
+        block = np.compress(near, block, axis=0)
         chain = np.interp(block[:, 0], xs, ys)
         chain -= tol
-        kept.append(block[block[:, 1] >= chain])
+        kept.append(np.compress(block[:, 1] >= chain, block, axis=0))
     return np.concatenate(kept)
 
 

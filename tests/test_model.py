@@ -17,7 +17,6 @@ from tinregions import (
     rate_upper_bound,
     upper_bound_rates,
 )
-from tinregions.model import _improper_finish, _improper_terms
 
 
 def scalar_rate(hkk, hkj, noise, ck, ptk, cj, ptj):
@@ -306,19 +305,3 @@ class TestInvariants:
             w2 = one(h22, h21, sec6.noise2, q2, kk2, f2, q1, kk1, f1)
             assert np.asarray(r1).tobytes() == np.asarray(w1).tobytes()
             assert np.asarray(r2).tobytes() == np.asarray(w2).tobytes()
-
-
-def test_improper_finish_in_scratch_buffers_is_bitwise_the_same(sec6):
-    # the sampler's form: the phased term is made in the complex buffer
-    # itself, and every temporary lives in the two buffers
-    h11, h12 = complex(sec6.h11), complex(sec6.h12)
-    c1, c2, k1, k2, p1, _ = random_strategies(np.random.default_rng(13), 300)
-    a, b, cy2, den, base = _improper_terms(h11, h12, sec6.noise1, c1, k1, c2, k2)
-    e = np.exp(1j * p1)
-    want = _improper_finish(a * e, b, cy2, den, base)
-    z, t = np.full(300, np.nan, dtype=complex), np.full(300, np.nan)
-    out = np.empty(300)
-    pa = np.multiply(a, e, out=z)
-    got = _improper_finish(pa, b, cy2, den, base, out=out, scratch=(z, t))
-    assert got is out
-    assert out.tobytes() == want.tobytes()

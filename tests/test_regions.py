@@ -335,8 +335,7 @@ def reference_drop_interior(pts):
 
 class TestChordTest:
     """Edge cases of the chord that spares most points the interpolation
-    test, in blocks of 4 rows (no block has few enough near points for a
-    partial test), of 16 and of the default size."""
+    test, in blocks of 4 rows, of 16 and of the default size."""
 
     TOL4 = 64.0 * np.finfo(float).eps * 4.0  # the prefilter's tol at scale 4
 
