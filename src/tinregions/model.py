@@ -12,12 +12,17 @@ variants (`proper_rates`, `improper_rates`, `upper_bound_rates`)
 broadcast over numpy inputs and back the grid searches in
 :mod:`tinregions.regions`.
 
-The improper rate is computed in two parts: `_improper_terms` holds
-everything that does not depend on the pseudovariance phases, and
-`_improper_finish` adds the phased terms, takes the log and clamps.
-`improper_rates` calls both; the improper sampler in
-:mod:`tinregions.regions` computes the phase-free part of its grid once
-and finishes it at every phase difference.
+User k's improper rate is 1/2 log2(det R_y / det R_s), the ratio of
+the determinants of the augmented covariances of its received signal
+and of its interference plus noise.  The pseudovariance phases enter
+only det R_y, through one phase weight w in [0, 1] per user, so the
+ratio is ``P w + K`` with real phase-free terms ``(K, P)`` built from
+magnitudes.  `_improper_terms` computes the terms, `_phase_weights` the
+weights and `_improper_finish` the log, all in real arithmetic.
+`improper_rates`, `upper_bound_rates` (at weight 1, the aligned
+phases) and the improper sampler in :mod:`tinregions.regions`
+(which computes the terms of its grid once and finishes them at every
+phase difference) share that finish.
 """
 
 from __future__ import annotations
@@ -202,47 +207,74 @@ def rate_pair_proper(ch: ChannelRealization, p) -> RatePair:
     return RatePair(float(r1), float(r2))
 
 
-def _improper_terms(hkk, hkj, noise, ck, kapk, cj, kapj):
-    """Phase-free part of user k's improper rate, for user j interfering.
+def _improper_terms(gkk, gkj, noise, ck, kapk, cj, kapj):
+    """Phase-free terms ``(K, P)`` of user k's improper rate, for user j
+    interfering.
 
-    Returns ``(a, b, cy2, den, base)``: the pseudovariance factors
-    ``a = h_kk^2 kappa_k`` and ``b = h_kj^2 kappa_j`` (the channel phase
-    enters twice), the squared received variance ``cy2``, the
-    interference-pseudovariance term ``den`` and the proper base rate
-    ``base = log2(1 + g_kk c_k / c_s)``.
+    With |a| = g_kk kappa_k and |b| = g_kj kappa_j the pseudovariance
+    magnitudes, c_s = g_kj c_j + n_k and c_y = g_kk c_k + c_s, they are
+    K = (c_y - |a| - |b|)(c_y + |a| + |b|) / V and P = 4 |a| |b| / V,
+    where V = (c_s - |b|)(c_s + |b|) = det R_s.  The differences are
+    sums of the nonnegative terms g (c - kappa) and n_k, so K and P are
+    free of cancellation.  V divides (it is not inverted once) so that a
+    silent user's K is exactly 1.
     """
-    gkk = abs(hkk) ** 2
-    gkj = abs(hkj) ** 2
-    cs = gkj * cj + noise
-    cy = gkk * ck + cs
-    den = 1.0 - (gkj * kapj) ** 2 / cs**2
-    return (hkk * hkk) * kapk, (hkj * hkj) * kapj, cy**2, den, np.log1p(gkk * ck / cs) / _LN2
+    ds = gkj * (cj - kapj) + noise
+    ss = gkj * (cj + kapj) + noise
+    dy = gkk * (ck - kapk) + ds
+    sy = gkk * (ck + kapk) + ss
+    v = ds * ss
+    return dy * sy / v, 4.0 * (gkk * kapk) * (gkj * kapj) / v
 
 
-def _improper_finish(pa, pb, cy2, den, base, out=None):
-    """User k's rate from the phased pseudovariance terms
-    ``pa = a e^{i phi_k}`` and ``pb = b e^{i phi_j}`` and the other
-    terms of :func:`_improper_terms`; writes into ``out`` if given."""
-    num = 1.0 - np.abs(pa + pb) ** 2 / cy2
-    # nonnegative in exact arithmetic; clamp the rounding residue
-    return np.maximum(base + 0.5 * np.log2(num / den), 0.0, out=out)
+def _improper_finish(K, P, w, out=None):
+    """User k's rate 1/2 log2(P w + K) from the terms of
+    :func:`_improper_terms` and the phase weight ``w`` of
+    :func:`_phase_weights`; writes into ``out`` if given.
+
+    No clamp is needed: for 0 <= kappa <= c each factor of K's numerator
+    rounds to at least its counterpart in V, so K >= 1 and P w >= 0 in
+    floating point as well, and the rate is >= 0.
+    """
+    x = np.multiply(P, w, out=out)
+    x = np.add(x, K, out=out)
+    x = np.log2(x, out=out)
+    return np.multiply(x, 0.5, out=out)
+
+
+def _phase_weights(ch: ChannelRealization, phi1, phi2):
+    """Phase weights ``w_k = sin^2((delta_k + theta_k) / 2)`` of both
+    users, where delta_k = phi_k - phi_j and theta_k = 2 (arg h_kk -
+    arg h_kj) is the phase of a conj(b), so that det R_y / det R_s =
+    P w_k + K.  The weight is 0 where the two received pseudovariance
+    terms add in phase and 1 where they are in opposite phase (the
+    alignment at which :func:`upper_bound_rates` is tight)."""
+    half = 0.5 * np.subtract(phi1, phi2)
+    t1 = cmath.phase(complex(ch.h11)) - cmath.phase(complex(ch.h12))
+    t2 = cmath.phase(complex(ch.h22)) - cmath.phase(complex(ch.h21))
+    # user 2's delta is -(phi1 - phi2), and sin^2 is even
+    return np.sin(half + t1) ** 2, np.sin(half - t2) ** 2
+
+
+def _user_terms(ch: ChannelRealization, c1, c2, kappa1, kappa2):
+    """:func:`_improper_terms` of user 1 and of user 2."""
+    g11, g12, g21, g22 = ch.gains
+    return (
+        _improper_terms(g11, g12, ch.noise1, c1, kappa1, c2, kappa2),
+        _improper_terms(g22, g21, ch.noise2, c2, kappa2, c1, kappa1),
+    )
 
 
 def improper_rates(ch: ChannelRealization, c1, c2, kappa1, kappa2, phi1, phi2):
     """Rates of both users for a general (possibly improper) strategy.
 
     Broadcasts over array inputs.  Inputs must satisfy
-    ``0 <= kappa_k <= c_k``; the log arguments are then strictly
-    positive because the noise variances are.
+    ``0 <= kappa_k <= c_k``; the rates are then >= 0, and a silent user
+    (``c_k = 0``) gets rate exactly 0.
     """
-    h11, h12, h21, h22 = (complex(ch.h11), complex(ch.h12), complex(ch.h21), complex(ch.h22))
-    a1, b1, cy1, den1, base1 = _improper_terms(h11, h12, ch.noise1, c1, kappa1, c2, kappa2)
-    a2, b2, cy2, den2, base2 = _improper_terms(h22, h21, ch.noise2, c2, kappa2, c1, kappa1)
-    e1 = np.exp(1j * np.asarray(phi1))
-    e2 = np.exp(1j * np.asarray(phi2))
-    r1 = _improper_finish(a1 * e1, b1 * e2, cy1, den1, base1)
-    r2 = _improper_finish(a2 * e2, b2 * e1, cy2, den2, base2)
-    return r1, r2
+    terms1, terms2 = _user_terms(ch, c1, c2, kappa1, kappa2)
+    w1, w2 = _phase_weights(ch, phi1, phi2)
+    return _improper_finish(*terms1, w1), _improper_finish(*terms2, w2)
 
 
 def rate_pair_improper(ch: ChannelRealization, strategy: TransmitStrategy) -> RatePair:
@@ -266,15 +298,9 @@ def upper_bound_rates(ch: ChannelRealization, c1, c2, kappa1, kappa2):
     on the pseudovariance or channel phases; componentwise at least as
     large as :func:`improper_rates` for any phases.
     """
-    g11, g12, g21, g22 = ch.gains
-    # magnitudes suffice, and keep the unused factors a and b real
-    h11, h12, h21, h22 = (abs(ch.h11), abs(ch.h12), abs(ch.h21), abs(ch.h22))
-    _, _, cy1, den1, base1 = _improper_terms(h11, h12, ch.noise1, c1, kappa1, c2, kappa2)
-    _, _, cy2, den2, base2 = _improper_terms(h22, h21, ch.noise2, c2, kappa2, c1, kappa1)
-    # the bound aligns the two pseudovariance terms in opposite phase
-    r1 = _improper_finish(g11 * kappa1, -(g12 * kappa2), cy1, den1, base1)
-    r2 = _improper_finish(g22 * kappa2, -(g21 * kappa1), cy2, den2, base2)
-    return r1, r2
+    terms1, terms2 = _user_terms(ch, c1, c2, kappa1, kappa2)
+    # the bound aligns the two pseudovariance terms: phase weight 1
+    return _improper_finish(*terms1, 1.0), _improper_finish(*terms2, 1.0)
 
 
 def rate_upper_bound(ch: ChannelRealization, strategy: TransmitStrategy) -> RatePair:

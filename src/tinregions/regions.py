@@ -44,7 +44,8 @@ from .model import (
     RatePair,
     RateProfile,
     _improper_finish,
-    _improper_terms,
+    _phase_weights,
+    _user_terms,
     alignment_phases,
     enhance,
     improper_rates,
@@ -238,34 +239,32 @@ def pure_improper_samples(
     depend on the phases only through the difference).  Returns every
     evaluated pair as an (N, 2) array, deterministic for a fixed seed:
     the grid at each phase difference in turn, then the random
-    strategies.  The grid is walked in blocks of ``_BLOCK`` points, whose
-    phase-free rate terms are computed once and finished at every phase
-    difference straight into the result.  The result is the only
-    allocation of its length; the others are of the grid's length (the
-    four grid coordinates) or a block's.
+    strategies.  The grid is walked in blocks of ``_BLOCK`` points: the
+    phase-free terms of both users are computed once per block, stacked
+    as (m, 2) arrays, and finished at every phase difference (a pair of
+    phase weights) straight into the block's rows of the result.  The
+    result is the only allocation of its length; the others are of the
+    grid's length (the four grid coordinates) or a block's.
     """
     c1 = np.linspace(0.0, budget.p1, sampling.power_grid)
     c2 = np.linspace(0.0, budget.p2, sampling.power_grid)
     frac = np.linspace(0.0, 1.0, sampling.fraction_grid)
     psis = np.linspace(0.0, TWO_PI, sampling.phase_grid, endpoint=False)
-    C1, C2, K1, K2 = (a.ravel() for a in np.meshgrid(c1, c2, frac, frac, indexing="ij"))
-    K1 *= C1  # impropriety fraction times power
-    K2 *= C2
-    h11, h12, h21, h22 = (complex(ch.h11), complex(ch.h12), complex(ch.h21), complex(ch.h22))
+    C1, C2, Kap1, Kap2 = (a.ravel() for a in np.meshgrid(c1, c2, frac, frac, indexing="ij"))
+    Kap1 *= C1  # impropriety fraction times power
+    Kap2 *= C2
     # user 1 transmits at the phase difference, user 2 at phase 0
-    phases = [np.exp(1j * np.asarray(psi)) for psi in psis]
-    e0 = np.exp(1j * np.asarray(0.0))
+    weights = [_phase_weights(ch, psi, 0.0) for psi in psis]
     n = len(C1)
     out = np.empty((n * len(psis) + sampling.random_count, 2))
     grid = out[: n * len(psis)].reshape(len(psis), n, 2)
     for g in _blocks(n):
-        a1, b1, cy1, den1, base1 = _improper_terms(h11, h12, ch.noise1, C1[g], K1[g], C2[g], K2[g])
-        a2, b2, cy2, den2, base2 = _improper_terms(h22, h21, ch.noise2, C2[g], K2[g], C1[g], K1[g])
-        b1 = b1 * e0
-        a2 = a2 * e0
-        for rows, e in zip(grid[:, g], phases):
-            _improper_finish(a1 * e, b1, cy1, den1, base1, out=rows[:, 0])
-            _improper_finish(a2, b2 * e, cy2, den2, base2, out=rows[:, 1])
+        (K1, P1), (K2, P2) = _user_terms(ch, C1[g], C2[g], Kap1[g], Kap2[g])
+        K = np.column_stack((K1, K2))
+        P = np.column_stack((P1, P2))
+        for rows, w in zip(grid[:, g], weights):
+            # a full-shape weight array keeps the product's loop long
+            _improper_finish(K, P, np.tile(w, (len(K), 1)), out=rows)
     if sampling.random_count > 0:
         rng = np.random.default_rng(sampling.seed)
         m = sampling.random_count

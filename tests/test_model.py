@@ -1,8 +1,10 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from test_regions import SAMPLER_CHANNELS
 
 from tinregions import (
     ChannelRealization,
@@ -162,8 +164,9 @@ class TestRateUpperBound:
         c1, c2, k1, k2, _, _ = random_strategies(rng, 1000)
         u = upper_bound_rates(sec6, c1, c2, k1, k2)
         ue = upper_bound_rates(ench, c1, c2, k1, k2)
-        assert float(np.max(np.abs(u[0] - ue[0]))) <= 1e-12
-        assert float(np.max(np.abs(u[1] - ue[1]))) <= 1e-12
+        # bitwise: the bound is built from the gains alone
+        assert u[0].tobytes() == ue[0].tobytes()
+        assert u[1].tobytes() == ue[1].tobytes()
 
 
 class TestEnhance:
@@ -276,9 +279,10 @@ class TestInvariants:
             assert a.r1 == pytest.approx(b.r1, abs=1e-12)
             assert a.r2 == pytest.approx(b.r2, abs=1e-12)
 
-    def test_split_formula_keeps_the_single_expression_bitwise(self, sec6):
-        # user k's rate as one expression, the form before the phase-free
-        # terms were split from the phased finish
+    @pytest.mark.parametrize("channel", ["sec6", *SAMPLER_CHANNELS])
+    def test_rates_track_the_complex_form_and_40_digit_values(self, sec6, channel):
+        # user k's rate as one complex expression, the form the rates had
+        # before they were written over real phase-free terms
         def one(hkk, hkj, noise, ck, kapk, phik, cj, kapj, phij):
             gkk, gkj = abs(hkk) ** 2, abs(hkj) ** 2
             cs = gkj * cj + noise
@@ -290,9 +294,23 @@ class TestInvariants:
             den = 1.0 - (gkj * kapj) ** 2 / cs**2
             return np.maximum(np.log1p(gkk * ck / cs) / LN2 + 0.5 * np.log2(num / den), 0.0)
 
+        def exact(hkk, hkj, noise, ck, kapk, phik, cj, kapj, phij):
+            # 1/2 log2(det R_y / det R_s) at 40 digits
+            with mpmath.workdps(40):
+                hkk, hkj = mpmath.mpc(hkk), mpmath.mpc(hkj)
+                ck, kapk, phik, cj, kapj, phij = (
+                    mpmath.mpf(float(x)) for x in (ck, kapk, phik, cj, kapj, phij)
+                )
+                cs = abs(hkj) ** 2 * cj + noise
+                cy = abs(hkk) ** 2 * ck + cs
+                ts = hkj**2 * kapj * mpmath.expj(phij)
+                ty = hkk**2 * kapk * mpmath.expj(phik) + ts
+                return float(mpmath.log((cy**2 - abs(ty) ** 2) / (cs**2 - abs(ts) ** 2), 2) / 2)
+
         LN2 = math.log(2.0)
-        h11, h12, h21, h22 = (complex(h) for h in (sec6.h11, sec6.h12, sec6.h21, sec6.h22))
-        c1, c2, k1, k2, p1, p2 = random_strategies(np.random.default_rng(12), 500)
+        ch = sec6 if channel == "sec6" else SAMPLER_CHANNELS[channel]
+        h11, h12, h21, h22 = (complex(h) for h in (ch.h11, ch.h12, ch.h21, ch.h22))
+        c1, c2, k1, k2, p1, p2 = random_strategies(np.random.default_rng(12), 300)
         for args in (
             (c1, c2, k1, k2, p1, p2),
             (c1, c2, k1, k2, 0.3, 0.0),  # scalar phases broadcast
@@ -300,8 +318,18 @@ class TestInvariants:
             (2.0, 3.0, 1.5, 0.5, 0.7, 5.9),  # all scalar
         ):
             q1, q2, kk1, kk2, f1, f2 = args
-            r1, r2 = improper_rates(sec6, *args)
-            w1 = one(h11, h12, sec6.noise1, q1, kk1, f1, q2, kk2, f2)
-            w2 = one(h22, h21, sec6.noise2, q2, kk2, f2, q1, kk1, f1)
-            assert np.asarray(r1).tobytes() == np.asarray(w1).tobytes()
-            assert np.asarray(r2).tobytes() == np.asarray(w2).tobytes()
+            r1, r2 = improper_rates(ch, *args)
+            w1 = one(h11, h12, ch.noise1, q1, kk1, f1, q2, kk2, f2)
+            w2 = one(h22, h21, ch.noise2, q2, kk2, f2, q1, kk1, f1)
+            assert np.shape(r1) == np.shape(w1) and np.shape(r2) == np.shape(w2)
+            assert float(np.max(np.abs(r1 - w1))) <= 2e-14
+            assert float(np.max(np.abs(r2 - w2))) <= 2e-14
+        r1, r2 = improper_rates(ch, c1, c2, k1, k2, p1, p2)
+        for r, user in (
+            (r1, (h11, h12, ch.noise1, c1, k1, p1, c2, k2, p2)),
+            (r2, (h22, h21, ch.noise2, c2, k2, p2, c1, k1, p1)),
+        ):
+            hkk, hkj, noise = user[:3]
+            want = np.array([exact(hkk, hkj, noise, *x) for x in zip(*user[3:])])
+            # no farther from the 40-digit values than the complex form
+            assert np.max(np.abs(r - want)) <= np.max(np.abs(one(*user) - want))

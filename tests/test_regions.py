@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -213,6 +214,40 @@ class TestPureImproperSamples:
         samples = pure_improper_samples(sec6, PowerBudget(3.0, 10.0), cfg)
         want = per_phase_samples(sec6, PowerBudget(3.0, 10.0), cfg)
         assert samples.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("channel", ["sec6", *SAMPLER_CHANNELS])
+    def test_silent_user_gets_rate_exactly_zero(self, sec6, channel):
+        ch = sec6 if channel == "sec6" else SAMPLER_CHANNELS[channel]
+        rng = np.random.default_rng(9)
+        c = rng.uniform(0.0, 10.0, 2000)
+        kap = rng.uniform(0.0, 1.0, 2000) * c
+        for psi in [*np.linspace(0.0, TWO_PI, 24, endpoint=False), rng.uniform(0.0, TWO_PI, 2000)]:
+            r1, _ = improper_rates(ch, 0.0, c, 0.0, kap, psi, 0.0)
+            _, r2 = improper_rates(ch, c, 0.0, kap, 0.0, psi, 0.0)
+            assert np.all(r1 == 0.0) and np.all(r2 == 0.0)
+        cfg = SamplingConfig(power_grid=7, fraction_grid=4, phase_grid=24, random_count=0)
+        budget = PowerBudget(10.0, 6.5)
+        samples = pure_improper_samples(ch, budget, cfg).reshape(24, 7, 7, 4, 4, 2)
+        # the first power on each axis of the grid is 0
+        assert np.all(samples[:, 0, :, :, :, 0] == 0.0)
+        assert np.all(samples[:, :, 0, :, :, 1] == 0.0)
+
+    def test_peak_memory_is_the_result_the_grid_and_a_few_blocks(self, sec6, budget10):
+        # 31 * 31 * 11 * 11 = 116 281 grid points, 14 blocks
+        cfg = SamplingConfig(power_grid=31, fraction_grid=11, phase_grid=2, random_count=1000)
+        n = 31 * 31 * 11 * 11
+        tracemalloc.start()
+        try:
+            samples = pure_improper_samples(sec6, budget10, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = (regions._BLOCK + 1) * 2 * samples.itemsize
+        coordinates = 4 * n * samples.itemsize
+        # the block loop holds about ten blocks' worth; grid-length terms
+        # (K and P of both users, 4 n floats) would add 28 more
+        assert peak <= samples.nbytes + coordinates + 16 * block
 
 
 class TestUpperRightHull:
