@@ -582,7 +582,10 @@ def theorem1_check(
     each rate is bitwise what a call per trial gives), and finally
     optimizes each trial's time-sharing weights for its profile with
     the master LP of the cutting-plane loop
-    (:class:`~tinregions.lp.MasterLP`), one master per trial.
+    (:class:`~tinregions.lp.MasterLP`), one master per trial with two or
+    more strategies.  A trial with one strategy spends all its time on
+    it (the master could only return tau = 1), so its rates are its
+    average and it builds no master.
     :func:`boundary_violation` then measures, for all trials at once,
     how far each averaged rate pair lands outside the interpolated
     proper time-sharing boundary.  Any violation beyond the tolerance
@@ -628,6 +631,9 @@ def theorem1_check(
     for t, (draw, beta) in enumerate(zip(draws, betas)):
         s = slice(end, end + draw[0].size)
         end = s.stop
+        if draw[0].size == 1:  # all time on the one strategy: no master
+            averages[t] = r1[s.start], r2[s.start]
+            continue
         master = MasterLP(
             (r1[s], r2[s]), (c1[s], c2[s]), (budget.p1, budget.p2), (beta, 1.0 - beta)
         )

@@ -374,8 +374,8 @@ def test_eta_updates_do_not_drift_over_many_pivots():
     # the pivot loop's own inverse, updated by every pivot from the
     # crash basis on, against fresh factorizations of the final basis
     cols, b = lp_module._equilibrated(master)
-    basis = lp_module._crash_basis(master, len(cols))
-    binv = _fresh_inverse(cols, basis).tolist()
+    basis, binv = lp_module._crash_basis(master, cols)
+    assert binv is not None
     assert lp_module._pivot(cols, b, basis, binv) >= 200
     assert tuple(k if k < len(cols) - 4 else k - len(cols) for k in basis) == sol.basis
     fresh = _fresh_inverse(cols, basis)
@@ -457,3 +457,141 @@ def test_fresh_duals_recheck_the_final_basis():
     assert basis == [0, 5, 2, 3, 4]
     assert x_B[0] == 1.0 + 1.5e-10
     assert y.tolist() == [1.0, 1.5e-10, 0.0, 0.0, 0.0]
+
+
+_crash_basis = lp_module._crash_basis
+
+
+def _factorized_crash_basis(master, cols):
+    """The crash basis without its closed-form inverse, so that the solve
+    begins with a LAPACK factorization of it: the cold start before the
+    closed form, and the reference it is held to."""
+    return _crash_basis(master, cols)[0], None
+
+
+#: Profiles (rho_1, rho_2) of the parity set beyond random interior ones:
+#: one-sided profiles, profiles within 1e-12 of an axis and profiles with
+#: a tiny or subnormal entry, where R's coefficient in a rate row falls
+#: near or below the closed form's floor.
+_EDGE_PROFILES = (
+    (1.0, 0.0),
+    (0.0, 1.0),
+    *(
+        pair
+        for beta in (1e-12, 1.0 - 1e-16, 1e-300, 5e-324, 1e-320)
+        for pair in ((beta, 1.0 - beta), (1.0 - beta, beta))
+    ),
+    (5e-324, 1.0),
+    (1e-320, 1e-320),
+)
+
+
+def _parity_masters(rng, count):
+    """Seeded random masters for the closed-form start: edge profiles,
+    uniform ones, and ones whose smaller entry is log-uniform down to
+    1e-20; sometimes a zero or tiny rate on a rate row of the strategy
+    the simplex starts at (which can make that row tight), and
+    sometimes strategies before it that breach a budget (``within`` >
+    0)."""
+    for _ in range(count):
+        r, p, budget, _ = _random_master_args(rng, int(rng.integers(1, 7)))
+        u = rng.uniform()
+        if u < 0.4:
+            rho = _EDGE_PROFILES[int(rng.integers(len(_EDGE_PROFILES)))]
+        else:
+            beta = float(rng.uniform() if u < 0.7 else 10.0 ** rng.uniform(-20.0, 0.0))
+            rho = (beta, 1.0 - beta) if rng.uniform() < 0.5 else (1.0 - beta, beta)
+        within = int(rng.integers(r.shape[1])) if rng.uniform() < 0.4 else 0
+        p[:, :within] = 15.0
+        p[:, within] = 5.0
+        u = rng.uniform()
+        k = int(rng.integers(2))
+        if u < 0.3:
+            r[k, within] = 0.0
+        elif u < 0.45:
+            r[k, within] = rho[k] * rng.uniform(0.0, 2.0)
+        yield MasterLP(r, p, budget, rho)
+
+
+def _solve_or_exception(master):
+    try:
+        return lp_solve(master)
+    except Exception as e:  # the reference must raise the same type
+        return type(e)
+
+
+def test_closed_form_start_solves_as_the_factorized_one(monkeypatch):
+    # primal, duals and basis bitwise as from a LAPACK factorization of
+    # the crash basis, or the same exception, over the seeded set; both
+    # rate rows are tight somewhere, and both starts occur
+    masters = list(_parity_masters(np.random.default_rng(11), 3000))
+    # |a_k| = 2.5e-17: a closed-form start here reaches the same vertex
+    # with its basis listed in another order and a dual of -0.0
+    masters.append(
+        MasterLP(
+            [
+                [0.0, 4.379288057066483, 1.3434456970490471, 0.8444429588989127],
+                [1.552001608528637, 3.446212441806317, 3.169050395159594, 0.6788299254429481],
+            ],
+            [
+                [5.0, 1.5504118362365693, 15.137305173755776, 6.514983930817351],
+                [5.0, 13.693446156458402, 13.499327997797295, 1.4181498466155307],
+            ],
+            (10.0, 10.0),
+            (1.1102230246251565e-16, 0.9999999999999999),
+        )
+    )
+    tight, closed, near_floor = set(), set(), 0
+    for master in masters:
+        cols, _ = lp_module._equilibrated(master)
+        basis, binv = _crash_basis(master, cols)
+        tight.add(basis.index(0))
+        closed.add(binv is not None)
+        near_floor += binv is not None and abs(cols[0][basis.index(0)]) < 1e-2
+    assert tight == {0, 1} and closed == {True, False} and near_floor >= 10
+    got = [_solve_or_exception(m) for m in masters]
+    monkeypatch.setattr(lp_module, "_crash_basis", _factorized_crash_basis)
+    want = [_solve_or_exception(m) for m in masters]
+    assert sum(isinstance(w, type) for w in want) < len(want) // 10
+    for a, b in zip(got, want):
+        if isinstance(b, type):
+            assert a is b
+        else:
+            _assert_same_solution(a, b)
+
+
+def test_closed_form_inverse_is_the_crash_basis_inverse():
+    # against np.linalg.inv to 4 ulps of each row's largest entry
+    checked = 0
+    for master in _parity_masters(np.random.default_rng(12), 500):
+        cols, _ = lp_module._equilibrated(master)
+        basis, binv = _crash_basis(master, cols)
+        if binv is None:
+            assert abs(cols[0][basis.index(0)]) < lp_module._CLOSED_FORM_FLOOR
+            continue
+        fresh = _fresh_inverse(cols, basis)
+        peak = np.abs(fresh).max(axis=1)
+        assert np.all(np.abs(np.array(binv) - fresh).max(axis=1) <= 4 * np.spacing(peak))
+        checked += 1
+    assert checked >= 400
+
+
+def test_a_cold_solve_factorizes_once(monkeypatch):
+    # once the crash basis is already optimal and once after pivots;
+    # a factorized crash basis took a second factorization there
+    solves = []
+    original = np.linalg.solve
+
+    def counting(*args):
+        solves.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    one = MasterLP([[1.0], [2.0]], [[5.0], [5.0]], (10.0, 10.0), (0.5, 0.5))
+    for master, pivots in ((one, 0), (_box_master(), 1)):
+        cols, b = lp_module._equilibrated(master)
+        basis, binv = _crash_basis(master, cols)
+        assert lp_module._pivot(cols, b, basis, binv) == pivots
+        del solves[:]
+        lp_solve(master)
+        assert len(solves) == 1

@@ -9,10 +9,24 @@ and the recovery run."""
 
 from dataclasses import replace
 
+import numpy as np
+
 from perfbench.spans import Tracer
 from tinregions import RateProfile, outer, regions
 from tinregions.model import RatePair
 from tinregions.regions import BoundaryEntry, RegionBoundary
+
+
+def _mixing_trials(seed, trials):
+    """How many of ``theorem1_check``'s first ``trials`` trials draw two
+    or more strategies, replaying its draws (default impropriety)."""
+    rng = np.random.default_rng(seed)
+    mixing = 0
+    for _ in range(trials):
+        L = int(rng.integers(1, 5))
+        mixing += L > 1
+        rng.uniform(size=2 + 2 * (L - 1) + 4 * L + 1)  # powers, kappas, phases, beta
+    return mixing
 
 
 def test_traced_layers_reach_the_program(sec6, budget10):
@@ -27,10 +41,10 @@ def test_traced_layers_reach_the_program(sec6, budget10):
     tracer.install()
     try:
         _, cp = outer.ts_point(replace(sec6, h12=0.0, h21=0.0), budget10, RateProfile(0.5))
-        report = regions.theorem1_check(sec6, budget10, trials=2, boundary=boundary)
+        report = regions.theorem1_check(sec6, budget10, trials=5, boundary=boundary)
     finally:
         tracer.uninstall()
-    assert report.trials == 2
+    assert report.trials == 5
     assert cp.cuts[0].origin == "initial"
     spans = tracer.spans
     lp_parents = {
@@ -38,10 +52,13 @@ def test_traced_layers_reach_the_program(sec6, budget10):
     }
     assert lp_parents == {"outer", "recover", "theorem1"}
     # the batch evaluates every trial's rates in one call, then solves
-    # one master per trial
+    # one master per trial with two or more strategies (four of the
+    # five here; the fifth has one strategy and needs no master)
     theorem1 = {i for i, (name, *_) in enumerate(spans) if name == "theorem1"}
     under = [name for name, _, _, parent, *_ in spans if parent in theorem1]
-    assert under.count("model.improper") == 1 and under.count("lp") == report.trials
+    assert under.count("model.improper") == 1
+    mixing = _mixing_trials(regions.RegionConfig().sampling.seed, report.trials)
+    assert under.count("lp") == mixing == 4
     assert {attrs["rows"] for name, *_, attrs in spans if name == "lp"} == {5}
     assert any(name == "inner" for name, *_ in spans)
     assert outer.lp_solve.__module__ == "tinregions.lp"  # uninstalled
