@@ -22,7 +22,7 @@ weights and `_improper_finish` the log, all in real arithmetic.
 `improper_rates`, `upper_bound_rates` (at weight 1, the aligned
 phases) and the improper sampler in :mod:`tinregions.regions`
 (which computes the terms of its grid once and finishes them at every
-phase difference) share that finish.
+undominated phase difference) share that finish.
 """
 
 from __future__ import annotations

@@ -83,7 +83,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Grid/random sampling sizes for improper-strategy exploration."""
+    """Grid/random sampling sizes for improper-strategy exploration;
+    the grid is evaluated at each of its ``phase_grid`` phase
+    differences that no other one dominates, with the hull and
+    staircase of the full grid (:func:`pure_improper_samples`)."""
 
     seed: int = 0
     power_grid: int = 41
@@ -209,7 +212,7 @@ def pure_proper_point(
 
 
 #: Rows per block of the passes over the improper samples: the sampler
-#: finishes each block of its grid at every phase difference, and the
+#: finishes each block of its grid at every kept phase difference, and the
 #: hull prefilter and the staircase read the cloud block by block, so
 #: that a block and its temporaries stay in cache.
 _BLOCK = 1 << 13
@@ -236,15 +239,21 @@ def pure_improper_samples(
 
     The grid spans powers up to the per-user caps, impropriety fractions
     kappa/c in [0, 1] and the pseudovariance phase difference (rates
-    depend on the phases only through the difference).  Returns every
-    evaluated pair as an (N, 2) array, deterministic for a fixed seed:
-    the grid at each phase difference in turn, then the random
-    strategies.  The grid is walked in blocks of ``_BLOCK`` points: the
-    phase-free terms of both users are computed once per block, stacked
-    as (m, 2) arrays, and finished at every phase difference (a pair of
-    phase weights) straight into the block's rows of the result.  The
-    result is the only allocation of its length; the others are of the
-    grid's length (the four grid coordinates) or a block's.
+    depend on the phases only through the difference).  User k's rate
+    1/2 log2(P_k w_k + K_k), P_k >= 0, rises with its phase weight w_k
+    (or ignores it, where P_k = 0 as a gain is zero), so a phase whose
+    weights another one matches or beats adds only points that phase's
+    weakly dominate.  The grid is evaluated at the other phases (the
+    first of equal pairs), and the upper-right hull and the Pareto
+    staircase are the full grid's, bit for bit.  Returns every evaluated
+    pair as an (N, 2) array, deterministic for a fixed seed: the grid at
+    each kept phase difference in turn, then the random strategies.  The
+    grid is walked in blocks of ``_BLOCK`` points: the phase-free terms
+    of both users are computed once per block, stacked as (m, 2) arrays,
+    and finished at every kept phase difference (a pair of phase
+    weights) straight into the block's rows of the result.  The result
+    is the only allocation of its length; the others are of the grid's
+    length (the four grid coordinates) or a block's.
     """
     c1 = np.linspace(0.0, budget.p1, sampling.power_grid)
     c2 = np.linspace(0.0, budget.p2, sampling.power_grid)
@@ -255,9 +264,16 @@ def pure_improper_samples(
     Kap2 *= C2
     # user 1 transmits at the phase difference, user 2 at phase 0
     weights = [_phase_weights(ch, psi, 0.0) for psi in psis]
+    # a user with a zero gain has P = 0, so its rate ignores the weight
+    g11, g12, g21, g22 = ch.gains
+    keys = [(w1 * (min(g11, g12) > 0.0), w2 * (min(g22, g21) > 0.0)) for w1, w2 in weights]
+    # rates rise with the weights: keep the phases no other one matches
+    # or beats in both weights, and the first of equal pairs
+    weights = [w for i, (w, a) in enumerate(zip(weights, keys)) if not any(
+        b[0] >= a[0] and b[1] >= a[1] and (b != a or j < i) for j, b in enumerate(keys))]
     n = len(C1)
-    out = np.empty((n * len(psis) + sampling.random_count, 2))
-    grid = out[: n * len(psis)].reshape(len(psis), n, 2)
+    out = np.empty((n * len(weights) + sampling.random_count, 2))
+    grid = out[: n * len(weights)].reshape(len(weights), n, 2)
     for g in _blocks(n):
         (K1, P1), (K2, P2) = _user_terms(ch, C1[g], C2[g], Kap1[g], Kap2[g])
         K = np.column_stack((K1, K2))

@@ -24,7 +24,7 @@ from tinregions import (
 )
 from tinregions import lp as lp_module
 from tinregions import outer, regions
-from tinregions.model import TWO_PI
+from tinregions.model import TWO_PI, _phase_weights
 from tinregions.regions import _profile_value, boundary_violation, pareto_staircase
 
 
@@ -33,14 +33,18 @@ def small_cfg():
     return RegionConfig(sampling=SamplingConfig(power_grid=9, fraction_grid=5, phase_grid=8, random_count=2000))
 
 
-def per_phase_samples(ch, budget, sampling):
+def per_phase_samples(ch, budget, sampling, phases=None):
     """The sampler written as one `improper_rates` call per phase
-    difference, stacked and concatenated: the reference the blocked,
-    preallocated sampler must reproduce bit for bit."""
+    difference, stacked and concatenated: by default at every phase of
+    the grid, the all-phase reference whose hull and staircase the
+    sampler must reproduce bit for bit; at the indices ``phases``, the
+    reference for its samples themselves."""
     c1 = np.linspace(0.0, budget.p1, sampling.power_grid)
     c2 = np.linspace(0.0, budget.p2, sampling.power_grid)
     frac = np.linspace(0.0, 1.0, sampling.fraction_grid)
     psis = np.linspace(0.0, TWO_PI, sampling.phase_grid, endpoint=False)
+    if phases is not None:
+        psis = psis[phases]
     C1, C2, F1, F2 = (a.ravel() for a in np.meshgrid(c1, c2, frac, frac, indexing="ij"))
     K1 = F1 * C1
     K2 = F2 * C2
@@ -59,6 +63,21 @@ def per_phase_samples(ch, budget, sampling):
         r1, r2 = improper_rates(ch, rc1, rc2, rk1, rk2, rpsi, 0.0)
         chunks.append(np.column_stack((r1, r2)))
     return np.concatenate(chunks, axis=0)
+
+
+def undominated_phases(ch, phase_grid):
+    """Indices of the grid phases whose weight pair (zero for a user
+    with a zero gain, whose rate ignores it) no other phase matches or
+    beats in both entries, the first of equal pairs."""
+    psis = np.linspace(0.0, TWO_PI, phase_grid, endpoint=False)
+    w = np.array([_phase_weights(ch, psi, 0.0) for psi in psis])
+    g11, g12, g21, g22 = ch.gains
+    w[:, [min(g11, g12) == 0.0, min(g22, g21) == 0.0]] = 0.0
+    ge = np.all(w[None, :] >= w[:, None], axis=2)  # ge[i, j]: j matches or beats i
+    eq = np.all(w[None, :] == w[:, None], axis=2)
+    earlier = np.arange(phase_grid)[None, :] < np.arange(phase_grid)[:, None]
+    beaten = np.any(ge & (~eq | earlier), axis=1)
+    return np.flatnonzero(~beaten)
 
 
 SAMPLER_CHANNELS = {
@@ -201,8 +220,9 @@ class TestPureImproperSamples:
         cfg = SamplingConfig(seed=3, power_grid=7, fraction_grid=4, phase_grid=5,
                              random_count=random_count)
         samples = pure_improper_samples(ch, budget, cfg)
-        assert samples.shape == (7 * 7 * 4 * 4 * 5 + random_count, 2)
-        assert samples.tobytes() == per_phase_samples(ch, budget, cfg).tobytes()
+        kept = undominated_phases(ch, cfg.phase_grid)
+        assert samples.shape == (7 * 7 * 4 * 4 * len(kept) + random_count, 2)
+        assert samples.tobytes() == per_phase_samples(ch, budget, cfg, kept).tobytes()
 
     # 7 * 7 * 4 * 4 = 784 grid points: blocks of 3 leave a lone last row,
     # blocks of 5 a partial last block, and 784 is a single block
@@ -212,7 +232,8 @@ class TestPureImproperSamples:
                              random_count=50)
         monkeypatch.setattr(regions, "_BLOCK", block)
         samples = pure_improper_samples(sec6, PowerBudget(3.0, 10.0), cfg)
-        want = per_phase_samples(sec6, PowerBudget(3.0, 10.0), cfg)
+        want = per_phase_samples(sec6, PowerBudget(3.0, 10.0), cfg,
+                                 undominated_phases(sec6, cfg.phase_grid))
         assert samples.tobytes() == want.tobytes()
 
 
@@ -228,10 +249,49 @@ class TestPureImproperSamples:
             assert np.all(r1 == 0.0) and np.all(r2 == 0.0)
         cfg = SamplingConfig(power_grid=7, fraction_grid=4, phase_grid=24, random_count=0)
         budget = PowerBudget(10.0, 6.5)
-        samples = pure_improper_samples(ch, budget, cfg).reshape(24, 7, 7, 4, 4, 2)
+        samples = pure_improper_samples(ch, budget, cfg).reshape(-1, 7, 7, 4, 4, 2)
         # the first power on each axis of the grid is 0
         assert np.all(samples[:, 0, :, :, :, 0] == 0.0)
         assert np.all(samples[:, :, 0, :, :, 1] == 0.0)
+
+    @pytest.mark.parametrize("channel", ["sec6", *SAMPLER_CHANNELS, "weak-1", "weak-2"])
+    def test_hull_and_staircase_equal_the_full_grids(self, sec6, weak_channel, channel):
+        if channel.startswith("weak"):
+            ch = weak_channel(int(channel[-1]), 0.0)
+        else:
+            ch = sec6 if channel == "sec6" else SAMPLER_CHANNELS[channel]
+        budget = PowerBudget(10.0, 6.5)
+        cfg = SamplingConfig(seed=2, power_grid=9, fraction_grid=5, phase_grid=24,
+                             random_count=500)
+        samples = pure_improper_samples(ch, budget, cfg)
+        full = per_phase_samples(ch, budget, cfg)
+        assert len(samples) < len(full)
+        assert upper_right_hull(samples).tobytes() == upper_right_hull(full).tobytes()
+        assert pareto_staircase(samples).tobytes() == pareto_staircase(full).tobytes()
+
+    @pytest.mark.parametrize("channel,kept", [("real", 1), ("zero-cross", 1), ("sec6", 4)])
+    def test_kept_phase_counts(self, sec6, channel, kept):
+        # a real channel's weights both peak at the phase difference pi;
+        # on zero-cross neither rate depends on the phase
+        ch = sec6 if channel == "sec6" else SAMPLER_CHANNELS[channel]
+        cfg = SamplingConfig(power_grid=3, fraction_grid=2, phase_grid=24, random_count=7)
+        samples = pure_improper_samples(ch, PowerBudget(10.0, 10.0), cfg)
+        assert len(samples) == 3 * 3 * 2 * 2 * kept + 7
+        assert len(undominated_phases(ch, 24)) == kept
+
+    def test_dropping_an_undominated_phase_changes_sec6s_outputs(self, sec6, budget10):
+        # the equality checks above have teeth: a filter that also drops
+        # any one of sec6's kept phases moves the staircase, and one that
+        # drops phase 15, where the hull's inner vertex lies, the hull
+        cfg = SamplingConfig(power_grid=9, fraction_grid=5, phase_grid=24, random_count=0)
+        samples = pure_improper_samples(sec6, budget10, cfg)
+        kept = list(undominated_phases(sec6, 24))
+        assert kept == [13, 14, 15, 16]
+        for k in kept:
+            fewer = per_phase_samples(sec6, budget10, cfg, [i for i in kept if i != k])
+            assert pareto_staircase(fewer).tobytes() != pareto_staircase(samples).tobytes()
+            if k == 15:
+                assert upper_right_hull(fewer).tobytes() != upper_right_hull(samples).tobytes()
 
     def test_peak_memory_is_the_result_the_grid_and_a_few_blocks(self, sec6, budget10):
         # 31 * 31 * 11 * 11 = 116 281 grid points, 14 blocks
