@@ -454,12 +454,12 @@ def lp_solve(master: MasterLP, start: LpSolution | None = None) -> LpSolution:
         if v > 1e-6 * max(1.0, scale[k]):
             raise RuntimeError(f"simplex returned an infeasible point (row {k})")
 
-    # a binding rate row's dual, about -1/rho_k, is -inf below 2^-1024
-    with np.errstate(over="ignore"):
-        dual = y / np.array(scale)  # undo the row scaling of y = c_B B^-1
     return LpSolution(
         primal=primal,
-        dual=dual,
+        # undo the row scaling of y = c_B B^-1 on Python floats, which (as
+        # LAPACK) overflow silently: a binding rate row's dual, about
+        # -1/rho_k, is -inf for rho_k below 2^-1024
+        dual=np.array([v / s for v, s in zip(y.tolist(), scale)]),
         objective=float(primal[0]),
         basis=tuple([k if k < n else k - N for k in basis]),
         inverse=_Inverse(

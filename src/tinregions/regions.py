@@ -266,7 +266,7 @@ def pure_improper_samples(
     weights = [_phase_weights(ch, psi, 0.0) for psi in psis]
     # a user with a zero gain has P = 0, so its rate ignores the weight
     g11, g12, g21, g22 = ch.gains
-    keys = [(w1 * (min(g11, g12) > 0.0), w2 * (min(g22, g21) > 0.0)) for w1, w2 in weights]
+    keys = [(w1 if min(g11, g12) else 0.0, w2 if min(g22, g21) else 0.0) for w1, w2 in weights]
     # rates rise with the weights: keep the phases no other one matches
     # or beats in both weights, and the first of equal pairs
     weights = [w for i, (w, a) in enumerate(zip(weights, keys)) if not any(
