@@ -49,7 +49,6 @@ less than numpy's per-call overhead.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -71,7 +70,6 @@ _MAX_PIVOTS = 50_000
 #: for which a cold solve starts from the closed-form inverse (see
 #: :func:`_crash_basis`); below it the crash basis is factorized.
 _CLOSED_FORM_FLOOR = 1e-3
-_SCALE_FLOOR = sys.float_info.min  #: smallest row scale, the smallest normal float
 #: Surplus (rate rows) and slack (power rows) columns, the last four
 #: columns of every master, in the equilibrated rows.
 _EXTRA = (
@@ -99,8 +97,7 @@ class MasterLP:
     holds the 1 + L columns as tuples of five Python floats, R first;
     ``rows`` is the same 5 x (1 + L) constraint matrix as an array.
     ``scale`` holds each row's equilibration scale (its largest
-    magnitude, right-hand side included, at least the smallest normal
-    float).  ``within`` is the index of the first strategy whose
+    magnitude, right-hand side included).  ``within`` is the index of the first strategy whose
     powers lie within both budgets; the simplex starts there.
     ``ValueError`` unless every value is finite, the budgets are >= 0,
     the rates are >= 0, rho has a positive entry and some strategy lies
@@ -141,10 +138,9 @@ class MasterLP:
 
     def _set_peak(self, *peak: float) -> None:
         """Record the largest magnitudes of rows 0-3 and the row scales
-        they give, at least ``_SCALE_FLOOR`` but 1 for a zero row; row 4
-        (the weights' sum) has scale 1."""
+        they give; row 4 (the weights' sum) has scale 1."""
         self._peak = peak
-        self.scale = (*[s if s >= _SCALE_FLOOR else _SCALE_FLOOR if s else 1.0 for s in peak], 1.0)
+        self.scale = (*[s if s > 0.0 else 1.0 for s in peak], 1.0)
 
     def appended(self, r1: float, r2: float, p1: float, p2: float) -> MasterLP:
         """This master with one more strategy as its last column, checked

@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -579,22 +578,17 @@ def test_closed_form_inverse_is_the_crash_basis_inverse():
     assert checked >= 400
 
 
-def test_subnormal_row_peak_gets_the_smallest_normal_scale():
+def test_subnormal_row_peak_solves_without_a_warning():
     # rho_1 = 5e-324 alone sets row 0's peak; the row binds at R = 0, and
     # its exact dual -1/rho_1 = -2^1074 lies beyond the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        master = MasterLP([[0.0], [1.0]], [[5.0], [5.0]], (10.0, 10.0), (5e-324, 1.0))
-        assert master.scale == (sys.float_info.min, 1.0, 10.0, 10.0, 1.0)
-        sol = lp_solve(master)
+        sol = lp_solve(MasterLP([[0.0], [1.0]], [[5.0], [5.0]], (10.0, 10.0), (5e-324, 1.0)))
         assert sol.objective == 0.0 and sol.dual[0] == -math.inf
         assert np.all(np.isfinite(sol.dual[1:]))
         # a subnormal rho_1 whose dual lies within the range
         near = lp_solve(MasterLP([[0.0], [1.0]], [[5.0], [5.0]], (10.0, 10.0), (1e-308, 1.0)))
         assert near.dual[0] == pytest.approx(-1e308, rel=1e-15)
-    # a zero row keeps scale 1
-    zero = MasterLP([[0.0], [1.0]], [[0.0], [5.0]], (0.0, 10.0), (0.0, 1.0))
-    assert zero.scale == (1.0, 1.0, 1.0, 10.0, 1.0)
 
 
 def test_a_cold_solve_factorizes_once(monkeypatch):

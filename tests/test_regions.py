@@ -368,11 +368,13 @@ class TestUpperRightHull:
             assert kept.tobytes() == reference_drop_interior(cloud).tobytes()
 
     def test_prefilter_keeps_what_the_reference_keeps_on_a_sec6_cloud(self, sec6, budget10):
-        # 11 * 11 * 7 * 7 * 12 + 5000 samples: 11 full blocks, some with no
-        # point near the chord, some with a few and some with many
+        # the full grid, 11 * 11 * 7 * 7 * 12 + 5000 samples in 10 blocks:
+        # the grid's 9 with a few or many points near the chord, and a
+        # last one of random strategies with none
         cfg = SamplingConfig(seed=5, power_grid=11, fraction_grid=7, phase_grid=12,
                              random_count=5000)
-        cloud = pure_improper_samples(sec6, budget10, cfg)
+        cloud = per_phase_samples(sec6, budget10, cfg)
+        assert len(list(regions._blocks(len(cloud)))) == 10
         kept = regions._drop_interior(cloud)
         assert kept.tobytes() == reference_drop_interior(cloud).tobytes()
         assert len(kept) < len(cloud) // 100
@@ -392,7 +394,7 @@ def prefilter_clouds(sec6, budget, cfg):
         grid[grid.sum(axis=1) <= 11.0],  # lattice: points on every chord
         np.column_stack((np.cos(angles), np.sin(angles))) * rng.uniform(0.98, 1.0, (500, 1)),
         np.vstack([rng.integers(0, 4, size=(300, 2)), [[0.0, 0.0], [7.0, 0.0], [0.0, 7.0]]]),
-        pure_improper_samples(sec6, budget, cfg.sampling),
+        per_phase_samples(sec6, budget, cfg.sampling),  # the full grid
     ]
 
 
@@ -528,7 +530,7 @@ class TestParetoStaircase:
             assert len(stair) == n
 
     def test_sec6_samples_match_one_sort(self, sec6, budget10, small_cfg):
-        self.assert_matches_reference(pure_improper_samples(sec6, budget10, small_cfg.sampling))
+        self.assert_matches_reference(per_phase_samples(sec6, budget10, small_cfg.sampling))
 
 
 def unfiltered_hull(cloud, monkeypatch):
