@@ -15,11 +15,15 @@ candidates, polishes them by Newton steps and returns the best; the
 cutting-plane loop calls it.
 
 The kernel works on Python floats and small fixed-shape arrays: the
-eighteen coefficients of the two cubics are written out in closed form;
-the resultant is the determinant of a Bezout matrix of size at most 3,
-built at ten Chebyshev nodes from the nodes' powers and fixed index
-arrays and expanded by cofactors; and the cubics and quadratics in one
-variable are solved by sign changes between their turning points.
+eighteen coefficients of the two cubics are written out in closed form
+as nested lists; the resultant is the determinant of a Bezout matrix of
+size at most 3, built at ten Chebyshev nodes from one scaled stack of
+both cubics and their sizes, the nodes' powers and fixed index arrays,
+and expanded by cofactors; its Chebyshev series is solved by the
+colleague matrix, filled into a template built at import for each
+degree and handed to ``np.linalg.eigvals``, so ``numpy.polynomial`` is
+never loaded; and the cubics and quadratics in one variable are solved
+by sign changes between their turning points.
 Rounding is bounded to first order by the cofactors, so the resultant
 is declared to vanish only when it does so within that bound, which
 stays tight on the nearly singular channels where the interference
@@ -114,11 +118,18 @@ def inner_objective(ch: ChannelRealization, dual: DualPoint, p) -> float:
     return _f(_params(ch, dual), p1, p2)
 
 
+def _single_user_peak(g, n, mu, lam):
+    """Peak location of mu*log2(1 + g*p/n) - lam*p over p >= 0."""
+    if mu <= 0.0:
+        return 0.0
+    return max(0.0, mu / (lam * _LN2) - n / g)
+
+
 def _single_user_max(g, n, mu, lam):
     """Peak location and value of mu*log2(1 + g*p/n) - lam*p over p >= 0."""
     if mu <= 0.0:
         return 0.0, 0.0
-    p_hat = max(0.0, mu / (lam * _LN2) - n / g)
+    p_hat = _single_user_peak(g, n, mu, lam)
     val = mu * math.log1p(g * p_hat / n) / _LN2 - lam * p_hat
     return p_hat, val
 
@@ -140,33 +151,32 @@ _WEIGHT_TOL = 1e-9
 
 
 def _numerator_grid(c11, c12, c21, c22, a1, a2, l1):
-    """Coefficients of N1 (see :func:`_gradient_numerators`) indexed
-    [power of x, power of y], expanded in closed form."""
+    """Coefficients of N1 (see :func:`_gradient_numerators`) as nested
+    lists indexed [power of x][power of y], expanded in closed form."""
     d = a1 * c11
-    return np.array(
+    return [
+        [d - l1, c22 * (d - a2 * c21) - l1 * (c12 + c22), -c12 * c22 * (l1 + a2 * c21), 0.0],
         [
-            [d - l1, c22 * (d - a2 * c21) - l1 * (c12 + c22), -c12 * c22 * (l1 + a2 * c21), 0.0],
-            [
-                2.0 * d * c21 - l1 * (c11 + 2.0 * c21),
-                c11 * c21 * c22 * (a1 - a2) - l1 * (c11 * c22 + 2.0 * c12 * c21 + c21 * c22),
-                -l1 * c12 * c21 * c22,
-                0.0,
-            ],
-            [
-                c21 * (d * c21 - l1 * (2.0 * c11 + c21)),
-                -l1 * c21 * (c11 * c22 + c12 * c21),
-                0.0,
-                0.0,
-            ],
-            [-l1 * c11 * c21 * c21, 0.0, 0.0, 0.0],
-        ]
-    )
+            2.0 * d * c21 - l1 * (c11 + 2.0 * c21),
+            c11 * c21 * c22 * (a1 - a2) - l1 * (c11 * c22 + 2.0 * c12 * c21 + c21 * c22),
+            -l1 * c12 * c21 * c22,
+            0.0,
+        ],
+        [
+            c21 * (d * c21 - l1 * (2.0 * c11 + c21)),
+            -l1 * c21 * (c11 * c22 + c12 * c21),
+            0.0,
+            0.0,
+        ],
+        [-l1 * c11 * c21 * c21, 0.0, 0.0, 0.0],
+    ]
 
 
 def _gradient_numerators(c, a1, a2, l1, l2):
     """Numerators (N1, N2) of the scaled objective's two partial
     derivatives, each multiplied by its positive denominators, as 4 x 4
-    coefficient grids indexed [power of x, power of y].
+    coefficient grids (nested lists of Python floats) indexed [power of
+    x][power of y].
 
     ``c`` holds the gains over noise in scaled coordinates, ``(c11, c12,
     c21, c22)``, so that the receivers see S1 = 1 + c11*x + c12*y and
@@ -180,10 +190,8 @@ def _gradient_numerators(c, a1, a2, l1, l2):
     (x with y, c11 with c22, c12 with c21, a1 with a2).
     """
     c11, c12, c21, c22 = c
-    return (
-        _numerator_grid(c11, c12, c21, c22, a1, a2, l1),
-        _numerator_grid(c22, c21, c12, c11, a2, a1, l2).T,
-    )
+    swapped = _numerator_grid(c22, c21, c12, c11, a2, a1, l2)
+    return _numerator_grid(c11, c12, c21, c22, a1, a2, l1), [list(col) for col in zip(*swapped)]
 
 
 #: Chebyshev points of the first kind on [0, 1], and the map from values
@@ -242,20 +250,62 @@ _ERR_WEIGHTS = np.array(
 )[:, :, None]
 
 
+def _colleague_template(n):
+    """The parts of the rotated colleague matrix of a degree-n Chebyshev
+    series that do not depend on its coefficients, built as
+    ``np.polynomial.chebyshev.chebcompanion`` builds them: the matrix,
+    C-contiguous, with the coefficient column (column 0 after the
+    rotation) left as it is before the coefficients are subtracted; that
+    column in the unrotated order; and the column's scale ratios."""
+    mat = np.zeros((n, n))
+    scl = np.array([1.0] + [np.sqrt(0.5)] * (n - 1))
+    top = mat.reshape(-1)[1 :: n + 1]
+    bot = mat.reshape(-1)[n :: n + 1]
+    top[0] = np.sqrt(0.5)
+    top[1:] = 1 / 2
+    bot[...] = top
+    return mat[::-1, ::-1].copy(), mat[:, -1].tolist(), (scl / scl[-1]).tolist()
+
+
+_COLLEAGUE = {n: _colleague_template(n) for n in range(2, 10)}
+
+
+def _colleague_roots(c):
+    """The roots of the Chebyshev series with coefficients ``c`` (a list
+    of Python floats, lowest degree first, of length at least 2 and with
+    a nonzero last entry), sorted: what ``np.polynomial.chebyshev.
+    chebroots`` returns for it, from the same rotated colleague matrix,
+    the same ``np.linalg.eigvals`` call and the same sort, with the
+    coefficient-free part of the matrix taken from a template built at
+    import."""
+    n = len(c) - 1
+    if n == 1:
+        return np.array([-c[0] / c[1]])
+    template, column, ratio = _COLLEAGUE[n]
+    mat = template.copy()
+    last = c[n]
+    mat[::-1, 0] = [t - ck / last * r * 0.5 for t, ck, r in zip(column, c, ratio)]
+    roots = np.linalg.eigvals(mat)
+    roots.sort()
+    return roots
+
+
 def _resultant_at_nodes(f, g):
     """The resultant in y of ``f`` and ``g``, each scaled by its largest
     coefficient, at the Chebyshev nodes, and a bound on the rounding
-    error of each value (see :func:`_eliminant_roots`)."""
-    # [power of x, (f, g, |f|, |g|), power of y]; power 4 stays zero
-    h = np.zeros((4, 4, 5))
-    h[: f.shape[0], 0, : f.shape[1]] = f
-    h[: g.shape[0], 1, : g.shape[1]] = g
-    cols = np.flatnonzero(h[:, :2].any(axis=(0, 1)))
-    n = cols[-1] if cols.size else 0
+    error of each value (see :func:`_eliminant_roots`).  ``f`` and ``g``
+    are 4 x 4 coefficient grids, nested lists indexed [power of x][power
+    of y]; their y-degree is read from the lists."""
+    n = 3
+    while n and not any([f[0][n], f[1][n], f[2][n], f[3][n], g[0][n], g[1][n], g[2][n], g[3][n]]):
+        n -= 1
     if n == 0:
         raise RuntimeError("gradient numerators do not depend on the second power")
-    h[:, :2] /= np.abs(h[:, :2]).max(axis=(0, 2))[:, None]
-    h[:, 2:] = np.abs(h[:, :2])
+    fg = np.array((f, g))
+    # [power of x, (f, g, |f|, |g|), power of y]; power 4 stays zero
+    h = np.zeros((4, 4, 5))
+    np.divide(fg.transpose(1, 0, 2), np.abs(fg).max(axis=(1, 2))[:, None], out=h[:, :2, :4])
+    np.abs(h[:, :2], out=h[:, 2:])
     v = (_POWERS * h).sum(axis=1)  # f, g, |f|, |g| in y at every node
     terms = v[:, 0::2, :, None] * v[:, 1::2, None, :]
     terms += _TERM_SIGN * terms.swapaxes(2, 3)
@@ -263,14 +313,17 @@ def _resultant_at_nodes(f, g):
     # the Bezout entries B and their sizes b, flat, at every node
     entries = terms.reshape(-1, 2, 25)[..., at].sum(axis=3)
     entries[:, 0] += pad
+    # the cofactor products m[K0]*m[K1] and m[K2]*m[K3] of B and of b
     x = entries[..., _COFACTOR_AT].reshape(-1, 2, 4, 9)
-    one, two = x[:, :, 0] * x[:, :, 1], x[:, :, 2] * x[:, :, 3]
-    cof = one[:, 0] - two[:, 0]
+    prod = x[:, :, 0::2] * x[:, :, 1::2]
+    cof = prod[:, 0, 0] - prod[:, 0, 1]
     value = (entries[:, 0, :3] * cof[:, :3]).sum(axis=1)
     # |C|, P(|B|) and P(b), weighed against |B| and b
-    bounds = np.stack(
-        (np.abs(cof), np.abs(one[:, 0]) + np.abs(two[:, 0]), one[:, 1] + two[:, 1]), axis=1
-    )
+    bounds = np.empty((len(value), 3, 9))
+    np.abs(cof, out=bounds[:, 0])
+    size = np.abs(prod[:, 0])
+    np.add(size[:, 0], size[:, 1], out=bounds[:, 1])
+    np.add(prod[:, 1, 0], prod[:, 1, 1], out=bounds[:, 2])
     err = (_ERR_WEIGHTS * np.abs(entries)[:, :, None] * bounds[:, None]).sum(axis=(1, 2, 3))
     return value, err
 
@@ -278,18 +331,19 @@ def _resultant_at_nodes(f, g):
 def _eliminant_roots(f, g):
     """Real roots in [0, 1] of the resultant in y of two bivariate cubics.
 
-    The resultant is the determinant of the Bezout matrix of ``f`` and
-    ``g`` as polynomials in y, whose size n is their larger y-degree (at
-    most 3), so it has degree at most 9 in x.  It is evaluated at ten
-    Chebyshev points, turned into a Chebyshev series on [0, 1] and
-    solved with the colleague matrix.  The nodes' powers 0..3 (a fixed
-    Vandermonde matrix) give, at every node, the coefficients in y of
-    both polynomials (each scaled by its largest coefficient) and their
-    sizes (the same sums over the coefficients' absolute values).  Their
-    pairwise products give the Bezout terms f_a*g_b - f_b*g_a and the
-    terms' sizes, and fixed index arrays sum them into the entries B_ij
-    and the entries' sizes b_ij.  No matrix-matrix product is taken: the
-    first one would map the BLAS work buffer into a process that
+    ``f`` and ``g`` are coefficient grids as :func:`_gradient_numerators`
+    returns them.  The resultant is the determinant of the Bezout matrix
+    of ``f`` and ``g`` as polynomials in y, whose size n is their larger
+    y-degree (at most 3), so it has degree at most 9 in x.  It is
+    evaluated at ten Chebyshev points, turned into a Chebyshev series on
+    [0, 1] and solved with the colleague matrix.  The nodes' powers 0..3
+    (a fixed Vandermonde matrix) give, at every node, the coefficients in
+    y of both polynomials (each scaled by its largest coefficient) and
+    their sizes (the same sums over the coefficients' absolute values).
+    Their pairwise products give the Bezout terms f_a*g_b - f_b*g_a and
+    the terms' sizes, and fixed index arrays sum them into the entries
+    B_ij and the entries' sizes b_ij.  No matrix-matrix product is taken:
+    the first one would map the BLAS work buffer into a process that
     otherwise never needs it.  A Bezout matrix smaller than 3 x 3 is
     padded with the identity, and the determinant is expanded by the
     cofactors C_ij.
@@ -320,17 +374,21 @@ def _eliminant_roots(f, g):
     the |fit matrix| row times the nodes' bounds.  If none is left the two
     polynomials share a factor, their common zeros form a curve rather
     than points, and ``RuntimeError`` is raised.
+
+    The series left is solved by :func:`_colleague_roots`, which fills a
+    per-degree template of the colleague matrix built at import, so the
+    kernel loads no ``numpy.polynomial`` module.
     """
     value, err = _resultant_at_nodes(f, g)
-    coef = _CHEB_FIT @ value
-    coef[np.abs(coef) <= _CHEB_FIT_ABS @ err] = 0.0
-    kept = np.flatnonzero(coef)
-    if kept.size == 0:
+    floor = (_CHEB_FIT_ABS @ err).tolist()
+    coef = [0.0 if abs(c) <= e else c for c, e in zip((_CHEB_FIT @ value).tolist(), floor)]
+    while coef and not coef[-1]:
+        coef.pop()
+    if not coef:
         raise RuntimeError("resultant of the gradient numerators vanishes identically")
-    if kept[-1] == 0:
+    if len(coef) == 1:
         return []
-    roots = np.polynomial.chebyshev.chebroots(coef[: kept[-1] + 1])
-    return _in_unit_interval(0.5 * (roots + 1.0))
+    return _in_unit_interval(0.5 * (_colleague_roots(coef) + 1.0))
 
 
 def _in_unit_interval(roots):
@@ -349,6 +407,7 @@ def _bracketed_root(c, lo, hi, p_lo, p_hi):
     Newton steps inside a shrinking bracket, bisecting whenever a step
     would leave it."""
     c0, c1, c2, c3 = c
+    d2, d3 = 2.0 * c2, 3.0 * c3
     negative_at_lo = p_lo < 0.0
     x = lo - p_lo * (hi - lo) / (p_hi - p_lo)
     for _ in range(_ROOT_STEPS):
@@ -359,7 +418,7 @@ def _bracketed_root(c, lo, hi, p_lo, p_hi):
             lo = x
         else:
             hi = x
-        dpx = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        dpx = (d3 * x + d2) * x + c1
         step = px / dpx if dpx != 0.0 else math.inf
         if abs(step) <= _ROOT_XTOL:
             return x - step
@@ -367,6 +426,14 @@ def _bracketed_root(c, lo, hi, p_lo, p_hi):
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
     return x
+
+
+#: The range [-2 _DOMAIN_TOL, 1 + 2 _DOMAIN_TOL] searched by _real_roots,
+#: its kept range [-_DOMAIN_TOL, 1 + _DOMAIN_TOL], and the squared
+#: _IMAG_TOL of its near-double-root test.
+_SEARCH_LO, _SEARCH_HI = -2.0 * _DOMAIN_TOL, 1.0 + 2.0 * _DOMAIN_TOL
+_KEEP_HI = 1.0 + _DOMAIN_TOL
+_IMAG_TOL_SQ = _IMAG_TOL**2
 
 
 def _real_roots(coef):
@@ -385,21 +452,22 @@ def _real_roots(coef):
     within _DOMAIN_TOL of [0, 1] are kept and clamped to it; searching
     the wider range finds a root at an end by a sign change.
     """
-    coef = list(coef)
-    while coef and coef[-1] == 0.0:
-        coef.pop()
-    if not coef:
+    top = len(coef)
+    while top and coef[top - 1] == 0.0:
+        top -= 1
+    if not top:
         return []
     zeros = 0
     while coef[zeros] == 0.0:
         zeros += 1
-    degree = len(coef) - 1 - zeros
-    c = coef[zeros:] + [0.0] * (3 - degree)
+    degree = top - 1 - zeros
+    if degree == 0:
+        return [0.0] * zeros
+    c = [*coef[zeros:top], 0.0, 0.0][:4]
     c0, c1, c2, c3 = c
-    roots = []
     if degree == 1:
-        roots.append(-c0 / c1)
-    elif degree > 1:
+        roots = [-c0 / c1]
+    else:
         if degree == 2:
             turning = [-c1 / (2.0 * c2)]
         else:
@@ -408,29 +476,35 @@ def _real_roots(coef):
             if disc >= 0.0:
                 q = -(c2 + math.copysign(math.sqrt(disc), c2))
                 turning = sorted((q / (3.0 * c3), c1 / q)) if q else [0.0]
-        lo, hi = -2.0 * _DOMAIN_TOL, 1.0 + 2.0 * _DOMAIN_TOL
-        ends = [lo] + [t for t in turning if lo < t < hi] + [hi]
-        vals = [((c3 * t + c2) * t + c1) * t + c0 for t in ends]
-        for k, (t, v) in enumerate(zip(ends, vals)):
-            if k and min(v, vals[k - 1]) < 0.0 < max(v, vals[k - 1]):
-                roots.append(_bracketed_root(c, ends[k - 1], t, vals[k - 1], v))
-            if v == 0.0 or (
-                0 < k < len(ends) - 1
-                and 2.0 * abs(v) <= abs(6.0 * c3 * t + 2.0 * c2) * _IMAG_TOL**2
-            ):
+        roots = []
+        t0 = _SEARCH_LO
+        v0 = ((c3 * t0 + c2) * t0 + c1) * t0 + c0
+        if v0 == 0.0:
+            roots.append(t0)
+        for t in turning:
+            if not _SEARCH_LO < t < _SEARCH_HI:
+                continue
+            v = ((c3 * t + c2) * t + c1) * t + c0
+            if v < 0.0 < v0 or v0 < 0.0 < v:
+                roots.append(_bracketed_root(c, t0, t, v0, v))
+            if v == 0.0 or 2.0 * abs(v) <= abs(6.0 * c3 * t + 2.0 * c2) * _IMAG_TOL_SQ:
                 roots.append(t)
-    keep = [r for r in roots if -_DOMAIN_TOL <= r <= 1.0 + _DOMAIN_TOL]
-    return [min(max(r, 0.0), 1.0) for r in keep] + [0.0] * zeros
+            t0, v0 = t, v
+        t = _SEARCH_HI
+        v = ((c3 * t + c2) * t + c1) * t + c0
+        if v < 0.0 < v0 or v0 < 0.0 < v:
+            roots.append(_bracketed_root(c, t0, t, v0, v))
+        if v == 0.0:
+            roots.append(t)
+    return [min(max(r, 0.0), 1.0) for r in roots if -_DOMAIN_TOL <= r <= _KEEP_HI] + [0.0] * zeros
 
 
 def _in_x(grid, x):
     """Coefficients in y of a bivariate polynomial with x fixed, by
-    Horner's rule on Python floats (``grid`` as nested lists, rows
+    Horner's rule on Python floats (``grid`` as four nested lists, rows
     indexed by the power of x)."""
-    out = grid[-1]
-    for row in grid[-2::-1]:
-        out = [o * x + r for o, r in zip(out, row)]
-    return out
+    r0, r1, r2, r3 = grid
+    return [((a * x + b) * x + c) * x + d for a, b, c, d in zip(r3, r2, r1, r0)]
 
 
 def _newton_polish(par, p1, p2, hi, free):
@@ -442,25 +516,29 @@ def _newton_polish(par, p1, p2, hi, free):
     """
     g11, g12, g21, g22, n1, n2, mu1, mu2, l1, l2 = par
     a1, a2 = mu1 / _LN2, mu2 / _LN2
+    k11, k12, k21, k22 = a1 * g11, a1 * g12, a2 * g21, a2 * g22
+    hi1, hi2 = hi
+    free1, free2 = free
     for _ in range(_NEWTON_STEPS):
-        s1 = n1 + g11 * p1 + g12 * p2
-        i1 = n1 + g12 * p2
-        s2 = n2 + g21 * p1 + g22 * p2
+        w = g12 * p2
+        s1 = n1 + g11 * p1 + w
+        i1 = n1 + w
         i2 = n2 + g21 * p1
-        gr1 = a1 * g11 / s1 + a2 * g21 / s2 - a2 * g21 / i2 - l1
-        gr2 = a1 * g12 / s1 - a1 * g12 / i1 + a2 * g22 / s2 - l2
+        s2 = i2 + g22 * p2
+        gr1 = k11 / s1 + k21 / s2 - k21 / i2 - l1
+        gr2 = k12 / s1 - k12 / i1 + k22 / s2 - l2
         u1, v1 = a1 / (s1 * s1), a1 / (i1 * i1)
         u2, v2 = a2 / (s2 * s2), a2 / (i2 * i2)
         h11 = (v2 - u2) * g21 * g21 - u1 * g11 * g11
-        h12 = -u1 * g11 * g12 - u2 * g21 * g22
         h22 = (v1 - u1) * g12 * g12 - u2 * g22 * g22
-        if free[0] and free[1]:
+        if free1 and free2:
+            h12 = -u1 * g11 * g12 - u2 * g21 * g22
             det = h11 * h22 - h12 * h12
             if det == 0.0:
                 return None
             d1 = (h22 * gr1 - h12 * gr2) / det
             d2 = (h11 * gr2 - h12 * gr1) / det
-        elif free[0]:
+        elif free1:
             if h11 == 0.0:
                 return None
             d1, d2 = gr1 / h11, 0.0
@@ -470,7 +548,7 @@ def _newton_polish(par, p1, p2, hi, free):
             d1, d2 = 0.0, gr2 / h22
         p1 -= d1
         p2 -= d2
-        if not (0.0 <= p1 <= hi[0] and 0.0 <= p2 <= hi[1]):
+        if not (0.0 <= p1 <= hi1 and 0.0 <= p2 <= hi2):
             return None
         if abs(d1) <= 1e-15 * (1.0 + p1) and abs(d2) <= 1e-15 * (1.0 + p2):
             break
@@ -515,13 +593,13 @@ def stationary_solve(
         raise ValueError("power_cap must be > 0")
     par = _params(ch, dual)
     g11, g12, g21, g22, n1, n2, mu1, mu2, l1, l2 = par
-    a = (mu1 / _LN2, mu2 / _LN2)
+    a1, a2 = mu1 / _LN2, mu2 / _LN2
     capped = (mu1 > 0.0 and l1 <= LAMBDA_FLOOR) or (mu2 > 0.0 and l2 <= LAMBDA_FLOOR)
-    cands: list[tuple[float, float]] = [(0.0, 0.0)]
     if capped:
         cap = power_cap
-        scale = hi = (cap, cap)
-        cands += [(cap, 0.0), (0.0, cap), (cap, cap)]
+        s1 = s2 = cap
+        hi = (cap, cap)
+        cands = [(0.0, 0.0), (cap, 0.0), (0.0, cap), (cap, cap)]
         # without prices the objective rises along every ray from the
         # origin (its derivative there is a1*g11*p1/(S1*I1) +
         # a2*g22*p2/(S2*I2) > 0), so an interior point is beaten by the
@@ -531,52 +609,53 @@ def stationary_solve(
         price_gap = 0.0 if inside else (l1 + l2) * cap
     else:
         hi = (math.inf, math.inf)
-        peaks = (_single_user_max(g11, n1, mu1, l1)[0], _single_user_max(g22, n2, mu2, l2)[0])
-        cands += [(peaks[0], 0.0), (0.0, peaks[1])]
-        scale = tuple(pk if pk > 0.0 else 1.0 for pk in peaks)
-        inside = peaks[0] > 0.0 and peaks[1] > 0.0
+        peak1, peak2 = _single_user_peak(g11, n1, mu1, l1), _single_user_peak(g22, n2, mu2, l2)
+        cands = [(0.0, 0.0), (peak1, 0.0), (0.0, peak2)]
+        s1 = peak1 if peak1 > 0.0 else 1.0
+        s2 = peak2 if peak2 > 0.0 else 1.0
+        inside = peak1 > 0.0 and peak2 > 0.0
         price_gap = 0.0
 
     # a user whose weighted rate spans less than _WEIGHT_TOL of the total
     # is treated as weightless: the objective then peaks on an axis or an
     # edge, and that span bounds the value lost
-    span = [a[k] * math.log1p(g * scale[k] / n) for k, (g, n) in enumerate(((g11, n1), (g22, n2)))]
-    weightless = min(span) <= _WEIGHT_TOL * sum(span)
+    span1, span2 = a1 * math.log1p(g11 * s1 / n1), a2 * math.log1p(g22 * s2 / n2)
+    weightless = min(span1, span2) <= _WEIGHT_TOL * (span1 + span2)
     interior = inside and not weightless
-    c = (g11 * scale[0] / n1, g12 * scale[1] / n1, g21 * scale[0] / n2, g22 * scale[1] / n2)
     if capped or interior:
-        num1, num2 = _gradient_numerators(c, a[0], a[1], l1 * scale[0], l2 * scale[1])
-        rows1, rows2 = num1.tolist(), num2.tolist()
+        num1, num2 = _gradient_numerators(
+            (g11 * s1 / n1, g12 * s2 / n1, g21 * s1 / n2, g22 * s2 / n2), a1, a2, l1 * s1, l2 * s2
+        )
 
     def add(q1, q2, free):
-        p1, p2 = q1 * scale[0], q2 * scale[1]
+        p1, p2 = q1 * s1, q2 * s2
         cands.append((p1, p2))
         polished = _newton_polish(par, p1, p2, hi, free)
         if polished is not None:
             cands.append(polished)
 
     if capped:
-        cols1 = num1.T.tolist()
+        cols1 = [list(col) for col in zip(*num1)]
         for edge in (0.0, 1.0):
             for q1 in _real_roots(_in_x(cols1, edge)):
                 add(q1, edge, (True, False))
-            for q2 in _real_roots(_in_x(rows2, edge)):
+            for q2 in _real_roots(_in_x(num2, edge)):
                 add(edge, q2, (False, True))
     if interior:
         for q1 in _eliminant_roots(num1, num2):
-            ys = _real_roots(_in_x(rows1, q1)) + _real_roots(_in_x(rows2, q1))
+            ys = _real_roots(_in_x(num1, q1)) + _real_roots(_in_x(num2, q1))
             for q2 in dict.fromkeys(ys):
                 add(q1, q2, (True, True))
 
-    best_p, best_val = cands[0], _f(par, *cands[0])
+    best_p, best_val = cands[0], _f(par, 0.0, 0.0)
     for p in cands[1:]:
-        val = _f(par, *p)
+        val = _f(par, p[0], p[1])
         if val > best_val:
             best_p, best_val = p, val
     return InnerResult(
         p=best_p,
         value=best_val,
-        gap=min(span) if inside and weightless else price_gap,
+        gap=min(span1, span2) if inside and weightless else price_gap,
         iterations=len(cands),
         converged=True,
         capped=capped,

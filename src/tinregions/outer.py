@@ -151,11 +151,21 @@ def master_lp(
     )
 
 
+#: The master rows whose duals make up (mu, lambda), in that order.
+_DUAL_ROWS = ("rate row 1", "rate row 2", "power row 1", "power row 2")
+
+
 def _master_dual(y: np.ndarray) -> DualPoint:
     """(mu, lambda) from the master's row duals: mu_k is minus the dual
     of rate row k and lambda_k the dual of power row k, with rounding
-    residue snapped to zero and negatives clamped."""
+    residue snapped to zero and negatives clamped.  A dual that is not
+    finite raises ``RuntimeError`` naming its row: an infinite one would
+    make the snap threshold infinite and zero all four, and a NaN would
+    pass as a price."""
     v = [-float(y[0]), -float(y[1]), float(y[2]), float(y[3])]
+    for row, x in zip(_DUAL_ROWS, v):
+        if not math.isfinite(x):
+            raise RuntimeError(f"master LP dual of {row} is not finite ({x})")
     snap = DUAL_SNAP_TOL * max(1.0, *map(abs, v))
     return DualPoint(*[x if x > snap else 0.0 for x in v])
 
@@ -349,32 +359,127 @@ def primal_recover(
     return TimeSharingSolution(strategies=strategies, R=min(values))
 
 
+#: The computed excess of a TDMA share has a provable sign where one
+#: computed term is below _SHARE_BELOW times the other or above
+#: _SHARE_ABOVE times it (see _tdma_share), and no intermediate result
+#: falls below _SHARE_TINY.
+_SHARE_BELOW = 1.0 - 64.0 * 2.0**-53
+_SHARE_ABOVE = 1.0 + 80.0 * 2.0**-53
+_SHARE_TINY = 2.0**-1000
+#: Newton steps of the search for the shares with a provable sign.
+_SHARE_NEWTON_STEPS = 20
+
+
+def _share_signs_known(terms, lo, hi, t):
+    """Shares a <= b in [lo, hi] such that the computed TDMA excess is
+    negative at every share <= a and positive at every share >= b (see
+    :func:`_tdma_share`), close to its root.
+
+    ``terms(t)`` returns the computed terms T1(t), T2(t) and the slope
+    of the excess.  A safeguarded Newton search from ``t`` takes each
+    point where T1 < _SHARE_BELOW T2 as a and each where T1 >
+    _SHARE_ABOVE T2 as b.  Once a point is neither, it probes either
+    side of Newton's next point, twice as far as the excess needs to
+    clear those factors and four times farther while a probe does not.
+    Whatever it finds, ``lo`` and ``hi`` are valid answers.
+    """
+    a, b = lo, hi
+    for _ in range(_SHARE_NEWTON_STEPS):
+        t1, t2, slope = terms(t)
+        if t1 < _SHARE_BELOW * t2:
+            a = t
+        elif t1 > _SHARE_ABOVE * t2:
+            b = t
+        else:
+            if slope > 0.0:
+                root = t - (t1 - t2) / slope
+                width = 2.0 * (_SHARE_ABOVE - 1.0) * t2 / slope
+                for _ in range(3):
+                    left, right = root - width, root + width
+                    if a < left:
+                        t1, t2, _ = terms(left)
+                        if t1 < _SHARE_BELOW * t2:
+                            a = left
+                    if right < b:
+                        t1, t2, _ = terms(right)
+                        if t1 > _SHARE_ABOVE * t2:
+                            b = right
+                    if a >= left and b <= right:
+                        break
+                    width *= 4.0
+            break
+        step = t - (t1 - t2) / slope if slope > 0.0 else a
+        t = step if a < step < b else 0.5 * (a + b)
+        if not a < t < b:
+            break
+    return a, b
+
+
 def _tdma_share(ch: ChannelRealization, budget: PowerBudget, profile: RateProfile, power_cap):
     """Time share t of user 1 in the balanced TDMA mixture, or None when
     a slot power P1 / t or P2 / (1 - t) would exceed ``power_cap``.
 
-    rho2 t C1(P1/t) - rho1 (1 - t) C2(P2/(1 - t)) rises with t (the
-    perspective t C(P/t) of a concave C with C(0) = 0 rises), so its
-    sign change is bisected down to adjacent floats inside the shares
-    whose slot powers stay within the cap.
+    The excess E(t) = T1(t) - T2(t), with T1(t) = rho2 t C1(P1/t) and
+    T2(t) = rho1 s C2(P2/s), s = 1 - t, rises with t (the perspective
+    t C(P/t) of a concave C with C(0) = 0 rises), so its sign change is
+    bisected down to adjacent floats inside the shares whose slot powers
+    stay within the cap.  The bisection keeps ``lo`` where the computed
+    excess is negative.
+
+    Most midpoints are decided without evaluating the excess.  Take E
+    with the gains, powers and noises as given and g_kk P_k rounded once,
+    as the code computes it.  With u = 2^-53 and ``math.log1p`` accurate
+    to within e relative, each computed term is within g = 5u + e of its
+    exact value: two roundings in the log's argument, which the log does
+    not amplify, one in s, whose effect on T2 is at most its own, and
+    two products; no intermediate result underflows where the end terms
+    T1(lo), T2(hi) and the end products lo n1, (1 - hi) n2 are at least
+    _SHARE_TINY = 2^-1000.  T1 rises and T2 falls with t, so T1/T2
+    rises.  If the computed terms at a share a have T1 < (1 - 64u) T2,
+    their exact ratio at a, and so at every share t <= a, is below
+    (1 - g)/(1 + g) for e up to 9u, about 4 ulps (glibc documents 1 to
+    2 for log1p), and the computed excess at t is negative: a rounded
+    subtraction keeps the sign of the computed terms' difference.  Likewise T1 > (1 + 80u) T2 at b makes every computed
+    excess at t >= b positive.  :func:`_share_signs_known` finds such a
+    and b near the root, and the bisection takes every midpoint <= a as
+    ``lo`` and every midpoint >= b as ``hi`` unevaluated.  It makes the
+    plain bisection's decisions and returns the same float; without
+    such points, a and b stay at the ends, which no midpoint reaches.
     """
     g11, _, _, g22 = ch.gains
     (rho1, rho2), (P1, P2) = profile.rho, (budget.p1, budget.p2)
+    n1, n2 = ch.noise1, ch.noise2
+    snr1, snr2 = g11 * P1, g22 * P2
 
-    def excess(t):
+    def terms(t):
         s = 1.0 - t
-        return rho2 * t * math.log1p(g11 * P1 / (t * ch.noise1)) - rho1 * s * math.log1p(
-            g22 * P2 / (s * ch.noise2)
-        )
+        x1, x2 = snr1 / (t * n1), snr2 / (s * n2)
+        log1, log2 = math.log1p(x1), math.log1p(x2)
+        slope = rho2 * (log1 - x1 / (1.0 + x1)) + rho1 * (log2 - x2 / (1.0 + x2))
+        return rho2 * t * log1, rho1 * s * log2, slope
 
     lo, hi = P1 / power_cap, 1.0 - P2 / power_cap
-    if not (lo < hi and excess(lo) < 0.0 < excess(hi)):
+    if not lo < hi:
         return None
+    t1_lo, t2_lo, _ = terms(lo)
+    if not t1_lo - t2_lo < 0.0:
+        return None
+    t1_hi, t2_hi, _ = terms(hi)
+    if not 0.0 < t1_hi - t2_hi:
+        return None
+    a, b = lo, hi
+    if min(t1_lo, t2_hi, lo * n1, (1.0 - hi) * n2) >= _SHARE_TINY:
+        a, b = _share_signs_known(terms, lo, hi, rho1 if lo < rho1 < hi else 0.5 * (lo + hi))
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return lo
-        if excess(mid) < 0.0:
+        if a < mid < b:
+            t1, t2, _ = terms(mid)
+            below = t1 - t2 < 0.0
+        else:
+            below = mid <= a
+        if below:
             lo = mid
         else:
             hi = mid

@@ -1,5 +1,7 @@
+import dataclasses
 import heapq
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -18,7 +20,7 @@ from tinregions import (
     stationary_solve,
     ts_point,
 )
-from tinregions import inner, outer
+from tinregions import inner, outer, regions
 from tinregions.inner import LAMBDA_FLOOR, _f, _params, _single_user_max
 
 LN2 = math.log(2.0)
@@ -214,6 +216,12 @@ def _add(*polys):
     for p in polys:
         out[: p.shape[0], : p.shape[1]] += p
     return out
+
+
+def grid4(poly):
+    """A grid of at most 4 x 4 coefficients as the oracle's kernel takes
+    it: 4 x 4 nested lists of Python floats."""
+    return _add(np.zeros((4, 4)), poly).tolist()
 
 
 def reference_numerators(c, a1, a2, l1, l2, sizes=False):
@@ -633,14 +641,14 @@ class TestStationarySolve:
 class TestEliminant:
     def test_roots_of_a_linear_system(self):
         # y - x = 0 and x + y - 1 = 0 meet at x = 0.5
-        f = _affine(0.0, -1.0, 1.0)
-        g = _affine(-1.0, 1.0, 1.0)
+        f = grid4(_affine(0.0, -1.0, 1.0))
+        g = grid4(_affine(-1.0, 1.0, 1.0))
         assert inner._eliminant_roots(f, g) == pytest.approx([0.5], abs=1e-12)
 
     def test_common_factor_raises(self):
         common = _affine(1.0, 2.0, 3.0)
-        f = _mul(common, _affine(0.5, -1.0, 1.0))
-        g = _mul(common, _affine(2.0, 1.0, -1.0), _affine(1.0, 0.0, 1.0))
+        f = grid4(_mul(common, _affine(0.5, -1.0, 1.0)))
+        g = grid4(_mul(common, _affine(2.0, 1.0, -1.0), _affine(1.0, 0.0, 1.0)))
         with pytest.raises(RuntimeError, match="vanishes identically"):
             inner._eliminant_roots(f, g)
 
@@ -649,8 +657,8 @@ class TestEliminant:
 
         def shared_factor(c, a1, a2, l1, l2):
             return (
-                _mul(common, _affine(0.5, -1.0, 1.0)),
-                _mul(common, _affine(2.0, 1.0, -1.0)),
+                grid4(_mul(common, _affine(0.5, -1.0, 1.0))),
+                grid4(_mul(common, _affine(2.0, 1.0, -1.0))),
             )
 
         monkeypatch.setattr(inner, "_gradient_numerators", shared_factor)
@@ -714,6 +722,7 @@ class TestGradientNumerators:
             want = reference_numerators(c, a1, a2, l1, l2)
             size = reference_numerators(c, a1, a2, l1, l2, sizes=True)
             for g, w, sz in zip(got, want, size):
+                g = np.array(g)
                 assert g.shape == (4, 4)
                 assert np.all(np.abs(g - w) <= 1e-14 * sz), (c, a1, a2, l1, l2)
 
@@ -820,6 +829,7 @@ class TestRealRoots:
 def exact_resultant(f, g):
     """The resultant in y of ``f`` and ``g``, each scaled by its largest
     coefficient, at the oracle's nodes, in 60-digit arithmetic."""
+    f, g = np.array(f), np.array(g)
     n = max(np.flatnonzero(f.any(axis=0))[-1], np.flatnonzero(g.any(axis=0))[-1])
     out = []
     with mpmath.workdps(60):
@@ -927,3 +937,266 @@ class TestResultantRoundingBound:
                 calls += recorded(inner, "_eliminant_roots", lambda: stationary_solve(ch, dual))[1]
         assert len(calls) > 20
         assert_bound_holds(calls)
+
+
+# ------------------------------------------------ reference kernel
+#
+# The oracle's kernel as it was before its eliminant got the colleague
+# templates and its candidate stage was trimmed: numpy coefficient grids,
+# np.polynomial.chebyshev.chebroots, and the Python-float helpers as
+# they were.  The kernel must return the same bits.
+
+
+def reference_resultant_at_nodes(f, g):
+    h = np.zeros((4, 4, 5))
+    h[: f.shape[0], 0, : f.shape[1]] = f
+    h[: g.shape[0], 1, : g.shape[1]] = g
+    cols = np.flatnonzero(h[:, :2].any(axis=(0, 1)))
+    n = cols[-1] if cols.size else 0
+    if n == 0:
+        raise RuntimeError("gradient numerators do not depend on the second power")
+    h[:, :2] /= np.abs(h[:, :2]).max(axis=(0, 2))[:, None]
+    h[:, 2:] = np.abs(h[:, :2])
+    v = (inner._POWERS * h).sum(axis=1)
+    terms = v[:, 0::2, :, None] * v[:, 1::2, None, :]
+    terms += inner._TERM_SIGN * terms.swapaxes(2, 3)
+    at, pad = inner._BEZOUT[n]
+    entries = terms.reshape(-1, 2, 25)[..., at].sum(axis=3)
+    entries[:, 0] += pad
+    x = entries[..., inner._COFACTOR_AT].reshape(-1, 2, 4, 9)
+    one, two = x[:, :, 0] * x[:, :, 1], x[:, :, 2] * x[:, :, 3]
+    cof = one[:, 0] - two[:, 0]
+    value = (entries[:, 0, :3] * cof[:, :3]).sum(axis=1)
+    bounds = np.stack(
+        (np.abs(cof), np.abs(one[:, 0]) + np.abs(two[:, 0]), one[:, 1] + two[:, 1]), axis=1
+    )
+    err = (inner._ERR_WEIGHTS * np.abs(entries)[:, :, None] * bounds[:, None]).sum(axis=(1, 2, 3))
+    return value, err
+
+
+def reference_eliminant_roots(f, g):
+    value, err = reference_resultant_at_nodes(np.array(f), np.array(g))
+    coef = inner._CHEB_FIT @ value
+    coef[np.abs(coef) <= inner._CHEB_FIT_ABS @ err] = 0.0
+    kept = np.flatnonzero(coef)
+    if kept.size == 0:
+        raise RuntimeError("resultant of the gradient numerators vanishes identically")
+    if kept[-1] == 0:
+        return []
+    roots = np.polynomial.chebyshev.chebroots(coef[: kept[-1] + 1])
+    return inner._in_unit_interval(0.5 * (roots + 1.0))
+
+
+def reference_real_roots(coef):
+    coef = list(coef)
+    while coef and coef[-1] == 0.0:
+        coef.pop()
+    if not coef:
+        return []
+    zeros = 0
+    while coef[zeros] == 0.0:
+        zeros += 1
+    degree = len(coef) - 1 - zeros
+    c = coef[zeros:] + [0.0] * (3 - degree)
+    c0, c1, c2, c3 = c
+    roots = []
+    if degree == 1:
+        roots.append(-c0 / c1)
+    elif degree > 1:
+        if degree == 2:
+            turning = [-c1 / (2.0 * c2)]
+        else:
+            disc = c2 * c2 - 3.0 * c1 * c3
+            turning = []
+            if disc >= 0.0:
+                q = -(c2 + math.copysign(math.sqrt(disc), c2))
+                turning = sorted((q / (3.0 * c3), c1 / q)) if q else [0.0]
+        lo, hi = -2.0 * inner._DOMAIN_TOL, 1.0 + 2.0 * inner._DOMAIN_TOL
+        ends = [lo] + [t for t in turning if lo < t < hi] + [hi]
+        vals = [((c3 * t + c2) * t + c1) * t + c0 for t in ends]
+        for k, (t, v) in enumerate(zip(ends, vals)):
+            if k and min(v, vals[k - 1]) < 0.0 < max(v, vals[k - 1]):
+                roots.append(reference_bracketed_root(c, ends[k - 1], t, vals[k - 1], v))
+            if v == 0.0 or (
+                0 < k < len(ends) - 1
+                and 2.0 * abs(v) <= abs(6.0 * c3 * t + 2.0 * c2) * inner._IMAG_TOL**2
+            ):
+                roots.append(t)
+    keep = [r for r in roots if -inner._DOMAIN_TOL <= r <= 1.0 + inner._DOMAIN_TOL]
+    return [min(max(r, 0.0), 1.0) for r in keep] + [0.0] * zeros
+
+
+def reference_bracketed_root(c, lo, hi, p_lo, p_hi):
+    c0, c1, c2, c3 = c
+    negative_at_lo = p_lo < 0.0
+    x = lo - p_lo * (hi - lo) / (p_hi - p_lo)
+    for _ in range(inner._ROOT_STEPS):
+        px = ((c3 * x + c2) * x + c1) * x + c0
+        if px == 0.0:
+            return x
+        if (px < 0.0) == negative_at_lo:
+            lo = x
+        else:
+            hi = x
+        dpx = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        step = px / dpx if dpx != 0.0 else math.inf
+        if abs(step) <= inner._ROOT_XTOL:
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return x
+
+
+def reference_in_x(grid, x):
+    out = grid[-1]
+    for row in grid[-2::-1]:
+        out = [o * x + r for o, r in zip(out, row)]
+    return out
+
+
+def reference_newton_polish(par, p1, p2, hi, free):
+    g11, g12, g21, g22, n1, n2, mu1, mu2, l1, l2 = par
+    a1, a2 = mu1 / LN2, mu2 / LN2
+    for _ in range(inner._NEWTON_STEPS):
+        s1 = n1 + g11 * p1 + g12 * p2
+        i1 = n1 + g12 * p2
+        s2 = n2 + g21 * p1 + g22 * p2
+        i2 = n2 + g21 * p1
+        gr1 = a1 * g11 / s1 + a2 * g21 / s2 - a2 * g21 / i2 - l1
+        gr2 = a1 * g12 / s1 - a1 * g12 / i1 + a2 * g22 / s2 - l2
+        u1, v1 = a1 / (s1 * s1), a1 / (i1 * i1)
+        u2, v2 = a2 / (s2 * s2), a2 / (i2 * i2)
+        h11 = (v2 - u2) * g21 * g21 - u1 * g11 * g11
+        h12 = -u1 * g11 * g12 - u2 * g21 * g22
+        h22 = (v1 - u1) * g12 * g12 - u2 * g22 * g22
+        if free[0] and free[1]:
+            det = h11 * h22 - h12 * h12
+            if det == 0.0:
+                return None
+            d1 = (h22 * gr1 - h12 * gr2) / det
+            d2 = (h11 * gr2 - h12 * gr1) / det
+        elif free[0]:
+            if h11 == 0.0:
+                return None
+            d1, d2 = gr1 / h11, 0.0
+        else:
+            if h22 == 0.0:
+                return None
+            d1, d2 = 0.0, gr2 / h22
+        p1 -= d1
+        p2 -= d2
+        if not (0.0 <= p1 <= hi[0] and 0.0 <= p2 <= hi[1]):
+            return None
+        if abs(d1) <= 1e-15 * (1.0 + p1) and abs(d2) <= 1e-15 * (1.0 + p2):
+            break
+    return p1, p2
+
+
+REFERENCE_KERNEL = {
+    "_eliminant_roots": reference_eliminant_roots,
+    "_real_roots": reference_real_roots,
+    "_in_x": reference_in_x,
+    "_newton_polish": reference_newton_polish,
+}
+
+
+def float_bits(x):
+    """``x`` with every float replaced by its IEEE bytes, so that -0.0
+    and 0.0 differ and equal values compare equal bit for bit."""
+    if isinstance(x, float):
+        return struct.pack("<d", x).hex()
+    if isinstance(x, (tuple, list)):
+        return type(x)(float_bits(y) for y in x)
+    return x
+
+
+def oracle_outcome(ch, dual, power_cap):
+    """Every field of the oracle's result as bits, or the message of the
+    RuntimeError it raises."""
+    try:
+        return float_bits(dataclasses.astuple(stationary_solve(ch, dual, power_cap)))
+    except RuntimeError as exc:
+        return ("RuntimeError", str(exc))
+
+
+@pytest.fixture(scope="module")
+def pin_duals(sec6, budget10, weak_channel):
+    """(channel, dual, power cap) triples: every oracle call of the sec6
+    101-profile ts-proper sweep and of ``ts_point`` over the benchmark's
+    channel family (seeds 1 to 3), the near-singular cases with the
+    cutting-plane loop's calls there, and seeded capped and random
+    duals."""
+    cases = recorded(
+        outer, "bnb_solve", lambda: regions.ts_sweep(sec6, budget10, np.linspace(0.0, 1.0, 101))
+    )[1]
+
+    def family_points():
+        for seed in (1, 2, 3):
+            for m in family(seed):
+                try:
+                    ts_point(m.ch, PowerBudget(*m.P), RateProfile(m.beta))
+                except RuntimeError:
+                    pass
+
+    cases += recorded(outer, "bnb_solve", family_points)[1]
+    for ch, beta, dual in (SEED19_MODERATE, SEED15_REAL):
+        cases.append((ch, dual, 1e4))
+        cases += recorded(
+            outer,
+            "bnb_solve",
+            lambda: outer.cutting_plane(ch, PowerBudget(10.0, 10.0), RateProfile(beta)),
+        )[1]
+    rng = np.random.default_rng(2027)
+    channels = [sec6, weak_channel(1, 0.0), weak_channel(2, 20.0), *(m.ch for m in family(4)[::3])]
+    for ch in channels:
+        for _ in range(30):
+            mu = rng.uniform(0.0, 2.0, 2)
+            lam = 10.0 ** rng.uniform(-5.0, 0.5, 2)
+            cases.append((ch, DualPoint(*map(float, (*mu, *lam))), 1e4))
+        for prices in ((0.0, 0.3), (0.2, 0.0), (0.0, 0.0), (LAMBDA_FLOOR, 0.1), (5e-10, 1e-9)):
+            mu = rng.uniform(0.05, 2.0, 2)
+            cases.append((ch, DualPoint(*map(float, mu), *prices), float(rng.choice([1e2, 1e4]))))
+    return cases
+
+
+class TestKernelPin:
+    """The oracle returns the reference kernel's bits."""
+
+    def test_every_field_equals_the_reference_kernels(self, pin_duals, monkeypatch):
+        got = [oracle_outcome(*case) for case in pin_duals]
+        for name, reference in REFERENCE_KERNEL.items():
+            monkeypatch.setattr(inner, name, reference)
+        want = [oracle_outcome(*case) for case in pin_duals]
+        assert len(pin_duals) > 500
+        assert sum(w[5] for w in want if w[0] != "RuntimeError") > 20  # capped
+        for case, g, w in zip(pin_duals, got, want):
+            assert g == w, case
+
+    def test_colleague_roots_equal_chebroots(self):
+        rng = np.random.default_rng(11)
+        series = []
+        for length in range(2, 11):
+            for _ in range(40):
+                series.append(rng.standard_normal(length) * 10.0 ** rng.uniform(-3.0, 3.0, length))
+            for lead in (1e-12, 1e-300, 1e-320, -1e-300):
+                c = rng.standard_normal(length)
+                c[-1] = lead
+                series.append(c)
+            if length > 2:
+                for _ in range(10):
+                    c = rng.standard_normal(length)
+                    c[1:-1][rng.random(length - 2) < 0.5] = 0.0
+                    series.append(c)
+                series.append(np.r_[1.0, np.zeros(length - 2), 1.0])
+        for c in series:
+            try:
+                # chebroots warns where a tiny leading coefficient overflows
+                with np.errstate(all="ignore"):
+                    want = np.polynomial.chebyshev.chebroots(c)
+            except np.linalg.LinAlgError as exc:
+                with pytest.raises(type(exc)):
+                    inner._colleague_roots(c.tolist())
+                continue
+            got = inner._colleague_roots(c.tolist())
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), c

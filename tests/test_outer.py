@@ -23,7 +23,8 @@ from tinregions import (
 )
 from tinregions import lp as lp_module
 from tinregions import outer, regions
-from test_inner import assert_matches_bnb, assert_matches_reference, recorded
+from perfbench.workloads import family
+from test_inner import assert_matches_bnb, assert_matches_reference, float_bits, recorded
 
 GREATER = ">="
 EQUAL = "="
@@ -124,6 +125,21 @@ class TestRelaxedDualLp:
         assert (dual.mu1, dual.mu2, dual.lambda1, dual.lambda2) == (0.7, 1.2, 1e-9, 0.0)
         dual = outer._master_dual(np.array([3e-17, -1.2, -0.2, -5.8e-17, 2.0]))
         assert (dual.mu1, dual.lambda1, dual.lambda2) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "y, row",
+        [
+            ((-math.inf, -1.0, 0.1, 0.2, 0.0), "rate row 1"),
+            ((-1.0, math.nan, 0.1, 0.2, 0.0), "rate row 2"),
+            ((-1.0, -1.0, math.nan, 0.2, 0.0), "power row 1"),
+            ((-1.0, -1.0, 0.1, math.inf, 0.0), "power row 2"),
+        ],
+    )
+    def test_non_finite_dual_raises(self, y, row):
+        # an infinite dual made the snap threshold infinite and zeroed
+        # all four entries; a NaN passed as a price
+        with pytest.raises(RuntimeError, match=row):
+            outer._master_dual(np.array(y))
 
     def test_cutting_plane_duals_certify_every_master(self, sec6, budget10, monkeypatch):
         profile = RateProfile(0.3)
@@ -621,3 +637,91 @@ class TestOracleDefects:
             (10.0, 3.901528297335133),
             0.1,
         )
+
+
+def reference_tdma_share(ch, budget, profile, power_cap):
+    """The plain bisection of the TDMA share: every midpoint evaluated."""
+    g11, _, _, g22 = ch.gains
+    (rho1, rho2), (P1, P2) = profile.rho, (budget.p1, budget.p2)
+
+    def excess(t):
+        s = 1.0 - t
+        return rho2 * t * math.log1p(g11 * P1 / (t * ch.noise1)) - rho1 * s * math.log1p(
+            g22 * P2 / (s * ch.noise2)
+        )
+
+    lo, hi = P1 / power_cap, 1.0 - P2 / power_cap
+    if not (lo < hi and excess(lo) < 0.0 < excess(hi)):
+        return None
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if excess(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestTdmaSharePin:
+    """The share search evaluates the excess only near its root and
+    returns the plain bisection's float."""
+
+    BETAS = (1e-6, 1e-3, *np.linspace(0.0, 1.0, 41)[1:-1], 1.0 - 1e-3, 1.0 - 1e-6)
+
+    def channels(self, sec6, weak_channel):
+        return [
+            sec6,
+            replace(sec6, h12=0.0, h21=0.0),
+            ChannelRealization(1.0, 0.5, 0.5, math.sqrt(2.0), 1.0, 1.0),
+            ChannelRealization(9.888924120376545, -9.829986361392262, 0.3, 0.01, 2.0, 0.5),
+            weak_channel(1, 0.0),
+            weak_channel(2, 20.0),
+            *(m.ch for m in family(1)),
+        ]
+
+    def assert_same(self, ch, budget, caps):
+        """Both searches agree at every profile; returns how many of
+        them found a share."""
+        found = 0
+        for power_cap in caps:
+            for beta in self.BETAS:
+                profile = RateProfile(float(beta))
+                want = reference_tdma_share(ch, budget, profile, power_cap)
+                got = outer._tdma_share(ch, budget, profile, power_cap)
+                assert float_bits(got) == float_bits(want), (ch, budget, beta, power_cap)
+                found += want is not None
+        return found
+
+    def test_same_share_as_the_plain_bisection(self, sec6, weak_channel):
+        found = 0
+        for ch in self.channels(sec6, weak_channel):
+            for P in ((10.0, 10.0), (1.0, 30.0), (0.01, 5.0)):
+                budget = PowerBudget(*P)
+                found += self.assert_same(ch, budget, (outer._power_cap(budget),))
+        assert found > 1000
+
+    def test_same_share_where_the_power_cap_binds(self, sec6, weak_channel):
+        # caps just above P1 + P2 confine the share to a narrow bracket,
+        # so that the slot power caps most profiles' shares or refuses them
+        budget = PowerBudget(10.0, 4.0)
+        found = 0
+        for ch in self.channels(sec6, weak_channel)[:6]:
+            found += self.assert_same(ch, budget, (14.0, 14.5, 15.0, 16.0, 20.0))
+        assert 0 < found < 6 * 5 * len(self.BETAS) // 2
+
+    def test_the_search_spares_most_evaluations(self, sec6, budget10):
+        calls = []
+        real = outer.math.log1p
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        for beta in np.linspace(0.05, 0.95, 19):
+            profile = RateProfile(float(beta))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(outer.math, "log1p", counting)
+                outer._tdma_share(sec6, budget10, profile, outer._power_cap(budget10))
+        # two logs per evaluation; the plain bisection makes about 56
+        assert len(calls) / 2 / 19 < 25
