@@ -593,7 +593,17 @@ def theorem1_check(
     exceed the budget; the first slot stays within it, so it is the
     master's starting vertex) and a random profile.  The check runs in
     three passes.  It first draws every trial's candidate, one trial
-    after another, then evaluates all their strategies with one
+    after another, with two generator calls: ``integers(1, 5)`` for the
+    strategy count L, then one block of 6 L + 1 uniform draws u in
+    [0, 1), laid out as c1[0], c2[0], c1[1:], c2[1:], the L impropriety
+    fractions of user 1 and the L of user 2, the L phases of user 1 and
+    the L of user 2, and the profile's beta.  After the loop each draw
+    becomes low + (high - low) u over the whole batch, which is the
+    arithmetic of ``Generator.uniform``: powers on [0, P_k] for slot 0
+    and on [0, 2 P_k] for the others, fractions on [lo, hi] (then
+    kappa_k = fraction c_k), phases on [0, 2 pi) and beta on [0, 1).
+    So every value is bitwise what drawing each quantity in that order
+    with ``uniform`` gives.  It then evaluates all the strategies with one
     :func:`~tinregions.model.improper_rates` call (it is elementwise, so
     each rate is bitwise what a call per trial gives), and finally
     optimizes each trial's time-sharing weights for its profile with
@@ -623,33 +633,36 @@ def theorem1_check(
             "ts-proper", ch, budget, np.linspace(0.0, 1.0, beta_grid), cfg
         )
     rng = np.random.default_rng(cfg.sampling.seed)
-    draws = []
-    betas = []
+    sizes = []
+    blocks = []
     for _ in range(trials):
         L = int(rng.integers(1, 5))
-        c1 = np.empty(L)
-        c2 = np.empty(L)
-        c1[0] = rng.uniform(0.0, budget.p1)
-        c2[0] = rng.uniform(0.0, budget.p2)
-        if L > 1:
-            c1[1:] = rng.uniform(0.0, 2.0 * budget.p1, L - 1)
-            c2[1:] = rng.uniform(0.0, 2.0 * budget.p2, L - 1)
-        k1 = rng.uniform(lo_f, hi_f, L) * c1
-        k2 = rng.uniform(lo_f, hi_f, L) * c2
-        ph1 = rng.uniform(0.0, TWO_PI, L)
-        ph2 = rng.uniform(0.0, TWO_PI, L)
-        draws.append((c1, c2, k1, k2, ph1, ph2))
-        betas.append(float(rng.uniform()))
-    c1, c2, k1, k2, ph1, ph2 = (np.concatenate(a) for a in zip(*draws))
+        sizes.append(L)
+        blocks.append(rng.random(6 * L + 1))
+    u = np.concatenate(blocks)
+    n = np.array(sizes)
+    first = np.cumsum(n) - n  # each trial's first strategy
+    block = 6 * first + np.arange(trials)  # and its first draw
+    trial = np.repeat(np.arange(trials), n)
+    size = n[trial]  # each strategy's L
+    j = np.arange(trial.size) - first[trial]  # and its slot
+    at = block[trial] + j
+    head = j == 0
+    reach = np.where(head, 1.0, 2.0)  # slot 0 within the budget, the others twice it
+    c1 = _uniform(u[np.where(head, at, at + 1)], 0.0, reach * budget.p1)
+    c2 = _uniform(u[np.where(head, at + 1, at + size)], 0.0, reach * budget.p2)
+    k1 = _uniform(u[at + 2 * size], lo_f, hi_f) * c1
+    k2 = _uniform(u[at + 3 * size], lo_f, hi_f) * c2
+    ph1 = _uniform(u[at + 4 * size], 0.0, TWO_PI)
+    ph2 = _uniform(u[at + 5 * size], 0.0, TWO_PI)
+    betas = _uniform(u[block + 6 * n], 0.0, 1.0)
     r1, r2 = improper_rates(ch, c1, c2, k1, k2, ph1, ph2)
     averages = np.empty((trials, 2))
-    end = 0
-    for t, (draw, beta) in enumerate(zip(draws, betas)):
-        s = slice(end, end + draw[0].size)
-        end = s.stop
-        if draw[0].size == 1:  # all time on the one strategy: no master
-            averages[t] = r1[s.start], r2[s.start]
+    for t, (L, start, beta) in enumerate(zip(sizes, first.tolist(), betas.tolist())):
+        if L == 1:  # all time on the one strategy: no master
+            averages[t] = r1[start], r2[start]
             continue
+        s = slice(start, start + L)
         master = MasterLP(
             (r1[s], r2[s]), (c1[s], c2[s]), (budget.p1, budget.p2), (beta, 1.0 - beta)
         )
@@ -662,6 +675,11 @@ def theorem1_check(
         tolerance=THEOREM1_TOL,
         failures=int(np.count_nonzero(v > THEOREM1_TOL)),
     )
+
+
+def _uniform(u, low, high):
+    """``Generator.uniform``'s arithmetic on ``Generator.random`` draws u."""
+    return low + (high - low) * u
 
 
 def lemma1_check(

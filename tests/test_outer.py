@@ -370,6 +370,15 @@ class TestTsPoint:
         assert min(t for t, _, _ in sol.strategies) < 1e-9
         assert abs(sol.R - cp.upper) <= 1.3e-5
 
+    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="duality gap violation: recovered 0.0")
+    @pytest.mark.parametrize("beta", [1.0 - 1e-16, 1e-300, 5e-324])
+    def test_profile_next_to_an_axis_recovers_its_bound(self, sec6, budget10, beta):
+        # the optimal vertex holds only strategies that give the light
+        # user no rate, so R = 0 against an upper bound of 5.40 or 3.44
+        sol, cp = ts_point(sec6, budget10, RateProfile(beta))
+        assert cp.converged
+        assert abs(sol.R - cp.upper) <= 1.3e-5
+
     def test_duplicate_cut_keeps_lp_optimum(self, sec6, budget10):
         profile = RateProfile(0.5)
         cp = cutting_plane(sec6, budget10, profile)
