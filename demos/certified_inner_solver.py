@@ -9,8 +9,8 @@ degraded by the other's power), and because the power constraints are
 dualized there is no box to search a priori.  The stationary-point
 oracle the loop uses compares every candidate for the maximum: the
 origin, the two closed-form axis peaks p_hat_k, and the interior
-stationary points from a degree-9 resultant.  Beyond p_hat_k user k's
-own-signal term falls below its price, so the maximizer lies in
+stationary points from a resultant of degree at most 7.  Beyond p_hat_k
+user k's own-signal term falls below its price, so the maximizer lies in
 [0, p_hat_1] x [0, p_hat_2].  This script grids that box and checks the
 oracle against the grid within the grid's Lipschitz bound, once on the
 bundled channel (maximum on an axis) and once on a weak-interference

@@ -8,11 +8,13 @@ is maximized over all nonnegative power vectors.  ``f`` is nonconcave
 but has only two variables, so its maximum is attained at the origin,
 at one of the two closed-form single-user peaks on the axes, or at an
 interior stationary point.  Clearing the positive denominators of the
-two partial derivatives leaves two bivariate cubics; their resultant is
-a univariate polynomial of degree at most 9 whose real roots give every
-interior stationary point.  ``stationary_solve`` enumerates these
-candidates, polishes them by Newton steps and returns the best; the
-cutting-plane loop calls it.
+two partial derivatives leaves two bivariate cubics whose cubic parts
+share the factor (S1 - 1)(S2 - 1), S_k being receiver k's received
+power over noise; the curves thus meet twice at infinity, and their
+resultant is a univariate polynomial of degree at most 7 whose real
+roots give every interior stationary point.
+``stationary_solve`` enumerates these candidates, polishes them by
+Newton steps and returns the best; the cutting-plane loop calls it.
 
 The kernel works on Python floats and small fixed-shape arrays: the
 eighteen coefficients of the two cubics are written out in closed form
@@ -334,7 +336,10 @@ def _eliminant_roots(f, g):
     ``f`` and ``g`` are coefficient grids as :func:`_gradient_numerators`
     returns them.  The resultant is the determinant of the Bezout matrix
     of ``f`` and ``g`` as polynomials in y, whose size n is their larger
-    y-degree (at most 3), so it has degree at most 9 in x.  It is
+    y-degree (at most 3).  The cubic parts of f and g are -l1 c21 x Q and
+    -l2 c12 y Q with Q = (c11 x + c12 y)(c21 x + c22 y), so the curves
+    share two points at infinity and, by Bezout, meet in at most 7 finite
+    points: the resultant has degree at most 7 in x.  It is
     evaluated at ten Chebyshev points, turned into a Chebyshev series on
     [0, 1] and solved with the colleague matrix.  The nodes' powers 0..3
     (a fixed Vandermonde matrix) give, at every node, the coefficients in
@@ -566,7 +571,7 @@ def stationary_solve(
     falls below its price beyond p_hat_k, so every interior stationary
     point has p_k < p_hat_k, and none exists unless both peaks are
     positive.  In the coordinates q_k = p_k / p_hat_k the two gradient
-    numerators are cubics, their resultant in q2 has degree at most 9,
+    numerators are cubics, their resultant in q2 has degree at most 7,
     and its real roots in [0, 1] give q1; q2 follows from the roots of
     either numerator at that q1, and 2-D Newton on the gradient polishes
     each pair.  A resultant that vanishes identically raises

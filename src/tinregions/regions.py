@@ -212,9 +212,9 @@ def pure_proper_point(
 
 
 #: Rows per block of the passes over the improper samples: the sampler
-#: finishes each block of its grid at every kept phase difference, and the
-#: hull prefilter and the staircase read the cloud block by block, so
-#: that a block and its temporaries stay in cache.
+#: walks user 1's powers in chunks of as many as fit in a block (one at
+#: least), and the hull prefilter and the staircase read the cloud block
+#: by block, so that a block and its temporaries stay in cache.
 _BLOCK = 1 << 13
 
 
@@ -248,20 +248,16 @@ def pure_improper_samples(
     staircase are the full grid's, bit for bit.  Returns every evaluated
     pair as an (N, 2) array, deterministic for a fixed seed: the grid at
     each kept phase difference in turn, then the random strategies.  The
-    grid is walked in blocks of ``_BLOCK`` points: the phase-free terms
-    of both users are computed once per block, stacked as (m, 2) arrays,
-    and finished at every kept phase difference (a pair of phase
-    weights) straight into the block's rows of the result.  The result
-    is the only allocation of its length; the others are of the grid's
-    length (the four grid coordinates) or a block's.
+    grid is walked in chunks of as many of user 1's powers as fit in
+    ``_BLOCK`` points, one at least.  Both users' (K, P) are computed on
+    the grid axes broadcast in row order (c1, c2, f1, f2), each
+    intermediate at the shape of the axes it depends on, and finished at
+    every kept phase straight into the result, the only grid-length array.
     """
     c1 = np.linspace(0.0, budget.p1, sampling.power_grid)
     c2 = np.linspace(0.0, budget.p2, sampling.power_grid)
     frac = np.linspace(0.0, 1.0, sampling.fraction_grid)
     psis = np.linspace(0.0, TWO_PI, sampling.phase_grid, endpoint=False)
-    C1, C2, Kap1, Kap2 = (a.ravel() for a in np.meshgrid(c1, c2, frac, frac, indexing="ij"))
-    Kap1 *= C1  # impropriety fraction times power
-    Kap2 *= C2
     # user 1 transmits at the phase difference, user 2 at phase 0
     weights = [_phase_weights(ch, psi, 0.0) for psi in psis]
     # a user with a zero gain has P = 0, so its rate ignores the weight
@@ -271,16 +267,20 @@ def pure_improper_samples(
     # or beats in both weights, and the first of equal pairs
     weights = [w for i, (w, a) in enumerate(zip(weights, keys)) if not any(
         b[0] >= a[0] and b[1] >= a[1] and (b != a or j < i) for j, b in enumerate(keys))]
-    n = len(C1)
+    per_c1 = len(c2) * len(frac) ** 2  # grid rows per power of user 1
+    step = max(1, _BLOCK // per_c1)
+    n = len(c1) * per_c1
     out = np.empty((n * len(weights) + sampling.random_count, 2))
     grid = out[: n * len(weights)].reshape(len(weights), n, 2)
-    for g in _blocks(n):
-        (K1, P1), (K2, P2) = _user_terms(ch, C1[g], C2[g], Kap1[g], Kap2[g])
-        K = np.column_stack((K1, K2))
-        P = np.column_stack((P1, P2))
-        for rows, w in zip(grid[:, g], weights):
-            # a full-shape weight array keeps the product's loop long
-            _improper_finish(K, P, np.tile(w, (len(K), 1)), out=rows)
+    # a full-shape weight array keeps the product's loop long
+    tiles = [np.tile(w, (step * per_c1, 1)) for w in weights]
+    C2 = c2[:, None, None]
+    for s in range(0, len(c1), step):
+        C1 = c1[s : s + step, None, None, None]
+        terms = zip(*_user_terms(ch, C1, C2, frac[:, None] * C1, frac * C2))
+        K, P = (np.column_stack((t1.ravel(), t2.ravel())) for t1, t2 in terms)
+        for rows, w in zip(grid[:, s * per_c1 : s * per_c1 + len(K)], tiles):
+            _improper_finish(K, P, w[: len(K)], out=rows)
     if sampling.random_count > 0:
         rng = np.random.default_rng(sampling.seed)
         m = sampling.random_count

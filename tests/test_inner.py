@@ -665,6 +665,23 @@ class TestEliminant:
         with pytest.raises(RuntimeError):
             stationary_solve(sec6, DualPoint(1.0, 1.3, 0.08, 0.2))
 
+    def test_resultant_has_degree_at_most_seven(self, sec6, budget10):
+        # the cubic parts of both numerators carry the factor
+        # (c11 x + c12 y)(c21 x + c22 y), so the two curves share two
+        # points at infinity and meet in at most 7 finite points
+        def run():
+            betas = np.linspace(0.0, 1.0, 101)
+            regions.ts_sweep(sec6, budget10, betas)
+            loop_sweep(sec6, budget10, betas)
+            for m in family(1):
+                try:
+                    ts_point(m.ch, PowerBudget(*m.P), RateProfile(m.beta))
+                except RuntimeError:
+                    pass
+
+        degrees = [len(args[0]) - 1 for args in recorded(inner, "_colleague_roots", run)[1]]
+        assert max(degrees) == 7 and len(degrees) > 500
+
 
 class TestOracleGate:
     """The stationary-point oracle against certified branch and bound:

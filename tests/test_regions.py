@@ -224,18 +224,26 @@ class TestPureImproperSamples:
         assert samples.shape == (7 * 7 * 4 * 4 * len(kept) + random_count, 2)
         assert samples.tobytes() == per_phase_samples(ch, budget, cfg, kept).tobytes()
 
-    # 7 * 7 * 4 * 4 = 784 grid points: blocks of 3 leave a lone last row,
-    # blocks of 5 a partial last block, and 784 is a single block
-    @pytest.mark.parametrize("block", [3, 5, 784])
-    def test_grid_blocks_leave_samples_unchanged(self, sec6, block, monkeypatch):
-        cfg = SamplingConfig(seed=4, power_grid=7, fraction_grid=4, phase_grid=3,
+    # A chunk holds as many powers of user 1 as fit in _BLOCK rows, one
+    # at least.  7 * 4 * 4 = 112 rows per power: blocks of 3 and 5 hold
+    # less than one power's rows, and 784 is the whole grid in one chunk.
+    # 31 * 2 * 2 = 124 rows per power: blocks of 500 take 4 powers each
+    # and leave a last chunk of 3.  9 * 5 * 5 = 225 rows per power: blocks
+    # of 500 take 2 powers each and leave a last chunk of one.
+    @pytest.mark.parametrize("grid,block", [
+        ((7, 4), 3), ((7, 4), 5), ((7, 4), 784), ((31, 2), 500), ((9, 5), 500),
+    ], ids=["3", "5", "784", "31x2-500", "9x5-500"])
+    def test_grid_blocks_leave_samples_unchanged(self, sec6, weak_channel, grid, block,
+                                                 monkeypatch):
+        cfg = SamplingConfig(seed=4, power_grid=grid[0], fraction_grid=grid[1], phase_grid=3,
                              random_count=50)
         monkeypatch.setattr(regions, "_BLOCK", block)
-        samples = pure_improper_samples(sec6, PowerBudget(3.0, 10.0), cfg)
-        want = per_phase_samples(sec6, PowerBudget(3.0, 10.0), cfg,
-                                 undominated_phases(sec6, cfg.phase_grid))
-        assert samples.tobytes() == want.tobytes()
-
+        channels = [sec6, *SAMPLER_CHANNELS.values(), weak_channel(1, 0.0)]
+        for ch, budget in itertools.product(
+                channels, [PowerBudget(3.0, 10.0), PowerBudget(10.0, 4.732604454191316)]):
+            samples = pure_improper_samples(ch, budget, cfg)
+            want = per_phase_samples(ch, budget, cfg, undominated_phases(ch, cfg.phase_grid))
+            assert samples.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("channel", ["sec6", *SAMPLER_CHANNELS])
     def test_silent_user_gets_rate_exactly_zero(self, sec6, channel):
@@ -293,10 +301,10 @@ class TestPureImproperSamples:
             if k == 15:
                 assert upper_right_hull(fewer).tobytes() != upper_right_hull(samples).tobytes()
 
-    def test_peak_memory_is_the_result_the_grid_and_a_few_blocks(self, sec6, budget10):
-        # 31 * 31 * 11 * 11 = 116 281 grid points, 14 blocks
+    def test_peak_memory_is_the_result_and_a_few_blocks(self, sec6, budget10):
+        # 31 * 31 * 11 * 11 = 116 281 grid points; chunks of two powers (3 751
+        # rows each), the last of one
         cfg = SamplingConfig(power_grid=31, fraction_grid=11, phase_grid=2, random_count=1000)
-        n = 31 * 31 * 11 * 11
         tracemalloc.start()
         try:
             samples = pure_improper_samples(sec6, budget10, cfg)
@@ -304,10 +312,9 @@ class TestPureImproperSamples:
         finally:
             tracemalloc.stop()
         block = (regions._BLOCK + 1) * 2 * samples.itemsize
-        coordinates = 4 * n * samples.itemsize
-        # the block loop holds about ten blocks' worth; grid-length terms
-        # (K and P of both users, 4 n floats) would add 28 more
-        assert peak <= samples.nbytes + coordinates + 16 * block
+        # the chunk loop holds about eight blocks' worth; the grid's four
+        # coordinates would add 28 more, and its K and P of both users 28
+        assert peak <= samples.nbytes + 16 * block
 
 
 class TestUpperRightHull:
